@@ -25,7 +25,8 @@
 //! agreement count, and total O3 vs predicted cycles over every applied
 //! request. Shuts down on EOF or a `{"shutdown": true}` line.
 
-use portopt_bench::BinArgs;
+use portopt_bench::cli::Cli;
+use portopt_bench::{finish_trace, ServeArgs, Tracing};
 use portopt_serve::{
     LineAction, PredictionService, ServeResponse, ServiceStats, Snapshot, LOCAL_CONN,
 };
@@ -189,18 +190,11 @@ fn load(path: &str) -> Snapshot {
 }
 
 fn main() {
-    let args = BinArgs::parse();
-    let (path_a, path_b) = match (&args.snapshot, &args.snapshot_b) {
-        (Some(a), Some(b)) => (a.clone(), b.clone()),
-        _ => {
-            portopt_trace::error!(
-                "bench.ab",
-                "ab needs --snapshot <file> and --snapshot-b <file> \
-                 (write them with the `snapshot` bin)"
-            );
-            std::process::exit(2);
-        }
-    };
+    let mut cli = Cli::new("ab", "A/B-serves two snapshots over one request stream.");
+    let args = ServeArgs::declare(&mut cli);
+    let path_b = cli.required("--snapshot-b PATH", "the second snapshot of the pair");
+    Tracing::declare(&mut cli).start(cli);
+    let path_a = args.snapshot;
     let snap_a = load(&path_a);
     let snap_b = load(&path_b);
     let kind_a = snap_a.meta.model_kind.as_str();
@@ -291,5 +285,5 @@ fn main() {
         totals.1.errors,
         totals.1.speedup(),
     );
-    BinArgs::finish_trace();
+    finish_trace();
 }

@@ -11,17 +11,9 @@
 //! "current"); `sweep --cache-max-bytes` is the online variant that never
 //! evicts entries the running sweep touched. See `docs/SWEEP.md`.
 
+use portopt_bench::cli::{parse, Cli};
 use portopt_core::open_profile_cache;
 use portopt_exec::DiskCache;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  cache stats DIR\n  cache gc DIR --max-bytes N\n\
-         \nstats  print entry count and total bytes\n\
-         gc     evict oldest-first (by mtime) until the cache is <= N bytes"
-    );
-    std::process::exit(2);
-}
 
 fn open(dir: &str) -> DiskCache {
     open_profile_cache(dir).unwrap_or_else(|e| {
@@ -31,62 +23,56 @@ fn open(dir: &str) -> DiskCache {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("stats") => {
-            let dir = args.get(1).unwrap_or_else(|| usage());
-            let cache = open(dir);
-            match (cache.entries(), cache.total_bytes()) {
-                (Ok(entries), Ok(bytes)) => {
-                    println!("{dir}: {} entries, {bytes} bytes", entries.len());
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    portopt_trace::error!("bench.cache", "cannot scan {dir}: {e}");
-                    std::process::exit(2);
-                }
+    let mut cli = Cli::new("cache", "Inspects or evicts the on-disk profile cache.");
+    let help = "gc: evict oldest-first until the cache is at most N bytes";
+    let max_bytes: Option<u64> = cli.opt("--max-bytes N", help, parse);
+    let command = cli.positional("stats|gc", "print entry count and bytes, or evict");
+    let dir = cli.positional("DIR", "the profile cache directory");
+    match (command.as_str(), max_bytes) {
+        ("stats", None) | ("gc", Some(_)) => {}
+        ("stats", Some(_)) => cli.error("--max-bytes is a gc option"),
+        ("gc", None) => cli.error("missing --max-bytes N"),
+        (other, _) => cli.error(format!("unknown command {other:?}")),
+    }
+    cli.finish();
+    let cache = open(&dir);
+    // Settled above: `stats` runs without a byte budget, `gc` with one.
+    match max_bytes {
+        None => match (cache.entries(), cache.total_bytes()) {
+            (Ok(entries), Ok(bytes)) => {
+                println!("{dir}: {} entries, {bytes} bytes", entries.len());
             }
-        }
-        Some("gc") => {
-            let dir = args.get(1).unwrap_or_else(|| usage());
-            let max_bytes = match args.get(2).map(String::as_str) {
-                Some("--max-bytes") => args
-                    .get(3)
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-bytes expects a byte count, got {:?}", args.get(3));
-                        std::process::exit(2);
-                    }),
-                _ => usage(),
-            };
-            let cache = open(dir);
-            match cache.gc(max_bytes) {
-                Ok(r) => {
-                    println!(
-                        "{dir}: examined {} entries ({} bytes), evicted {} ({} bytes), \
+            (Err(e), _) | (_, Err(e)) => {
+                portopt_trace::error!("bench.cache", "cannot scan {dir}: {e}");
+                std::process::exit(2);
+            }
+        },
+        Some(max_bytes) => match cache.gc(max_bytes) {
+            Ok(r) => {
+                println!(
+                    "{dir}: examined {} entries ({} bytes), evicted {} ({} bytes), \
                          kept {} ({} bytes), removed {} stale tmp files",
-                        r.examined,
-                        r.before_bytes,
-                        r.evicted,
-                        r.evicted_bytes,
-                        r.kept,
-                        r.kept_bytes,
-                        r.tmp_removed,
+                    r.examined,
+                    r.before_bytes,
+                    r.evicted,
+                    r.evicted_bytes,
+                    r.kept,
+                    r.kept_bytes,
+                    r.tmp_removed,
+                );
+                if !r.met_budget(max_bytes) {
+                    portopt_trace::warn!(
+                        "bench.cache",
+                        "still over budget ({} > {max_bytes})",
+                        r.kept_bytes
                     );
-                    if !r.met_budget(max_bytes) {
-                        portopt_trace::warn!(
-                            "bench.cache",
-                            "still over budget ({} > {max_bytes})",
-                            r.kept_bytes
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    portopt_trace::error!("bench.cache", "gc failed: {e}");
-                    std::process::exit(2);
+                    std::process::exit(1);
                 }
             }
-        }
-        _ => usage(),
+            Err(e) => {
+                portopt_trace::error!("bench.cache", "gc failed: {e}");
+                std::process::exit(2);
+            }
+        },
     }
 }

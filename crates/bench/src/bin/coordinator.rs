@@ -21,8 +21,15 @@
 //! `--metrics-port` endpoint (`portopt_coord_*` lines, same read-to-EOF
 //! contract as the `serve` bin's metrics port).
 
-use portopt_bench::coordinator::{run_coordinator, CoordConfig, CoordMetrics, Coordinator};
-use portopt_bench::BinArgs;
+use portopt_bench::cli::{parse, positive, Cli};
+use portopt_bench::coordinator::{
+    run_coordinator, CoordConfig, CoordMetrics, Coordinator, DEFAULT_BACKOFF_MS,
+    DEFAULT_LEASE_TIMEOUT_MS, DEFAULT_RETRY_BUDGET,
+};
+use portopt_bench::{
+    ensure_writable, finish_trace, metrics_port, port, scale_name, shard_count, write_dataset,
+    Tracing,
+};
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,40 +56,42 @@ fn metrics_endpoint_loop(listener: &TcpListener, metrics: &CoordMetrics, stop: &
 }
 
 fn main() {
-    let args = BinArgs::parse();
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("target/portopt-merged-{}.json", args.scale_name));
+    let mut cli = Cli::new("coordinator", "Leases sweep shards to worker rigs.");
+    let scale_name = scale_name(&mut cli);
+    let shard_count = shard_count(&mut cli);
+    let port = port(&mut cli);
+    let help = "merged dataset [default: target/portopt-merged-SCALE.json]";
+    let out = cli.opt("--out PATH", help, parse);
+    let spec = "--lease-timeout-ms MS";
+    let help = "deadline before a shard is re-leased";
+    let lease_timeout_ms = cli.value(spec, DEFAULT_LEASE_TIMEOUT_MS, help, positive);
+    let help = "attempts per shard before the plan aborts";
+    let retry_budget = cli.value("--retry-budget N", DEFAULT_RETRY_BUDGET, help, positive);
+    let metrics_port = metrics_port(&mut cli);
+    Tracing::declare(&mut cli).start(cli);
+
+    let out = out.unwrap_or_else(|| format!("target/portopt-merged-{scale_name}.json"));
     // Fail fast before any worker burns compute on a plan whose result
     // could never be written.
-    if let Err(e) = BinArgs::ensure_writable(&out) {
+    if let Err(e) = ensure_writable(&out) {
         portopt_trace::error!("bench.coordinator", "refusing to coordinate: {e}");
         std::process::exit(2);
     }
-    if args.shard_count == 0 {
-        portopt_trace::error!("bench.coordinator", "--shard-count must be at least 1");
-        std::process::exit(2);
-    }
 
-    let listener = TcpListener::bind(("127.0.0.1", args.port)).unwrap_or_else(|e| {
-        portopt_trace::error!(
-            "bench.coordinator",
-            "cannot listen on port {}: {e}",
-            args.port
-        );
+    let listener = TcpListener::bind(("127.0.0.1", port)).unwrap_or_else(|e| {
+        portopt_trace::error!("bench.coordinator", "cannot listen on port {port}: {e}");
         std::process::exit(2);
     });
     let addr = listener.local_addr().expect("bound socket has an address");
     let config = CoordConfig {
-        shard_count: args.shard_count,
-        lease_timeout: Duration::from_millis(args.lease_timeout_ms),
-        retry_budget: args.retry_budget,
-        backoff_base: Duration::from_millis(portopt_bench::coordinator::DEFAULT_BACKOFF_MS),
+        shard_count,
+        lease_timeout: Duration::from_millis(lease_timeout_ms),
+        retry_budget,
+        backoff_base: Duration::from_millis(DEFAULT_BACKOFF_MS),
     };
     println!(
-        "coordinator: {} shards on {addr} (lease timeout {}ms, retry budget {})",
-        config.shard_count, args.lease_timeout_ms, args.retry_budget,
+        "coordinator: {} shards on {addr} (lease timeout {lease_timeout_ms}ms, retry budget {retry_budget})",
+        config.shard_count,
     );
     let coord = Arc::new(Mutex::new(Coordinator::new(config)));
     let metrics = coord.lock().expect("coordinator").metrics();
@@ -90,7 +99,7 @@ fn main() {
     // Live fleet counters while the plan runs: the endpoint thread serves
     // the shared CoordMetrics and is told to stop once the plan resolves.
     let metrics_stop = Arc::new(AtomicBool::new(false));
-    let metrics_thread = args.metrics_port.map(|port| {
+    let metrics_thread = metrics_port.map(|port| {
         let listener = TcpListener::bind(("127.0.0.1", port)).unwrap_or_else(|e| {
             portopt_trace::error!(
                 "bench.coordinator",
@@ -116,13 +125,13 @@ fn main() {
     match outcome {
         Ok(merged) => {
             println!("{}", metrics.render_line());
-            BinArgs::write_dataset(&out, &merged);
-            BinArgs::finish_trace();
+            write_dataset(&out, &merged);
+            finish_trace();
         }
         Err(e) => {
             println!("{}", metrics.render_line());
             portopt_trace::error!("bench.coordinator", "coordinator failed: {e}");
-            BinArgs::finish_trace();
+            finish_trace();
             std::process::exit(1);
         }
     }

@@ -1,14 +1,17 @@
 //! Figure 1: best-pass segment diagrams for three programs on three
 //! microarchitectures (XScale; small icache; small icache + small dcache).
 
-use portopt_bench::BinArgs;
+use portopt_bench::cli::Cli;
+use portopt_bench::{finish_trace, SweepArgs, Tracing};
 use portopt_core::generate_with_uarchs;
 use portopt_experiments::figures::fig1;
 use portopt_mibench::{by_name, Workload};
 use portopt_uarch::MicroArch;
 
 fn main() {
-    let args = BinArgs::parse();
+    let mut cli = Cli::new("fig1", "Figure 1: best passes on three named μarchs.");
+    let args = SweepArgs::declare(&mut cli);
+    Tracing::declare(&mut cli).start(cli);
     let names = ["rijndael_e", "untoast", "madplay"];
     let pairs: Vec<_> = names
         .iter()
@@ -45,5 +48,5 @@ fn main() {
             );
         }
     }
-    BinArgs::finish_trace();
+    finish_trace();
 }

@@ -2,6 +2,7 @@
 use portopt_passes::OptSpace;
 
 fn main() {
+    portopt_bench::cli::Cli::new("fig3", "Figure 3: the compiler optimisation space.").finish();
     let dims = OptSpace::dims();
     println!("Figure 3: {} optimisation dimensions", dims.len());
     for d in &dims {

@@ -26,24 +26,42 @@
 //! request answers with a one-line JSON metrics snapshot (live p50/p99
 //! latency, queue depth, refusal counters).
 
-use portopt_bench::BinArgs;
+use portopt_bench::cli::{parse, positive, Cli};
+use portopt_bench::{finish_trace, metrics_port, ServeArgs, Tracing};
 use portopt_serve::{
-    PredictionService, ServeOptions, ServiceStats, Snapshot, WatchEvent, DEFAULT_WATCH_INTERVAL_MS,
+    ModelKind, PredictionService, ServeOptions, ServiceStats, Snapshot, WatchEvent,
+    DEFAULT_WATCH_INTERVAL_MS,
 };
 use std::time::Duration;
 
 fn main() {
-    let args = BinArgs::parse();
-    let path = args.snapshot.clone().unwrap_or_else(|| {
-        portopt_trace::error!(
-            "bench.serve",
-            "serve needs --snapshot <file> (write one with the `snapshot` bin)"
-        );
-        std::process::exit(2);
-    });
+    let mut cli = Cli::new("serve", "Serves predictions from a model snapshot.");
+    let args = ServeArgs::declare(&mut cli);
+    let help = "refuse a snapshot holding another kind (knn|linear|clustered)";
+    let expect_model = cli.opt("--expect-model KIND", help, ModelKind::parse);
+    let mut opts = ServeOptions {
+        batch: args.batch,
+        ..ServeOptions::default()
+    };
+    let help = "cross-connection batching window: a lone request's wait";
+    let window_ms = opts.window.as_millis() as u64;
+    let window_ms = cli.value("--batch-window-ms MS", window_ms, help, parse);
+    opts.window = Duration::from_millis(window_ms);
+    let help = "maximum simultaneous TCP connections";
+    opts.max_conns = cli.value("--max-conns N", opts.max_conns, help, positive);
+    let help = "refuse requests past N pending [default: unbounded]";
+    opts.queue_cap = cli.opt("--queue-cap N", help, positive);
+    let help = "stop reading a connection with N outstanding [default: unbounded]";
+    opts.per_conn_quota = cli.opt("--per-conn-quota N", help, positive);
+    opts.metrics_port = metrics_port(&mut cli);
+    let watch = cli.flag("--watch-snapshot", "hot-reload the snapshot file on change");
+    opts.watch_interval = watch.then(|| Duration::from_millis(DEFAULT_WATCH_INTERVAL_MS));
+    Tracing::declare(&mut cli).start(cli);
+
+    let path = args.snapshot;
     // `--expect-model` refuses a wrong-kind artifact off its header, before
     // the payload is decoded — the guard for deployments that pin a kind.
-    let snap = match args.expect_model {
+    let snap = match expect_model {
         Some(kind) => Snapshot::load_expecting(&path, kind),
         None => Snapshot::load(&path),
     }
@@ -63,7 +81,7 @@ fn main() {
         let mut stats = ServiceStats::default();
         // Stdio has no admin channel worth blocking on, so the watcher (if
         // requested) runs detached and lives as long as the process.
-        if args.watch_snapshot {
+        if watch {
             let handle = service.reload_handle();
             let watch_path = path.clone();
             std::thread::spawn(move || {
@@ -89,37 +107,26 @@ fn main() {
             portopt_trace::error!("bench.serve", "cannot bind {addr}: {e}");
             std::process::exit(2);
         });
-        let opts = ServeOptions {
-            batch: args.batch,
-            window: Duration::from_millis(args.batch_window_ms),
-            max_conns: args.max_conns,
-            queue_cap: args.queue_cap,
-            per_conn_quota: args.per_conn_quota,
-            metrics_port: args.metrics_port,
-            watch_interval: args
-                .watch_snapshot
-                .then(|| Duration::from_millis(DEFAULT_WATCH_INTERVAL_MS)),
-        };
         portopt_trace::info!(
             "bench.serve",
             "listening on {addr}: up to {} connections, batch {} / window {} ms{}{}{}{} \
              (stop with a {{\"shutdown\": true}} request)",
             opts.max_conns,
             opts.batch,
-            args.batch_window_ms,
-            match args.queue_cap {
+            opts.window.as_millis(),
+            match opts.queue_cap {
                 Some(cap) => format!(", queue cap {cap}"),
                 None => String::new(),
             },
-            match args.per_conn_quota {
+            match opts.per_conn_quota {
                 Some(q) => format!(", per-conn quota {q}"),
                 None => String::new(),
             },
-            match args.metrics_port {
+            match opts.metrics_port {
                 Some(p) => format!(", metrics on 127.0.0.1:{p}"),
                 None => String::new(),
             },
-            if args.watch_snapshot {
+            if watch {
                 ", watching the snapshot file"
             } else {
                 ""
@@ -134,5 +141,5 @@ fn main() {
         }
     };
     portopt_trace::info!("bench.serve", "{}", stats.report());
-    BinArgs::finish_trace();
+    finish_trace();
 }

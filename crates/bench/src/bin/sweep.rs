@@ -38,7 +38,10 @@
 //! LRU-by-mtime down to `N` bytes after the sweep, never touching entries
 //! this run wrote or read (offline alternative: the `cache` bin).
 
-use portopt_bench::{coordinator, BinArgs};
+use portopt_bench::cli::{parse, Cli};
+use portopt_bench::{
+    coordinator, ensure_writable, finish_trace, shard_count, write_dataset, SweepArgs, Tracing,
+};
 use portopt_core::{
     generate_with_checkpoint, open_profile_cache, open_sweep_journal, CheckpointJournal, Dataset,
     GenOptions, ShardSpec, SweepReport,
@@ -47,7 +50,41 @@ use portopt_exec::DiskCache;
 use portopt_experiments::suite_modules;
 use portopt_ir::Module;
 
-fn open_cache(args: &BinArgs) -> Option<DiskCache> {
+/// The `sweep` bin's command line.
+struct Args {
+    sweep: SweepArgs,
+    out: Option<String>,
+    shard_index: usize,
+    shard_count: usize,
+    profile_cache: Option<String>,
+    no_checkpoint: bool,
+    worker: Option<String>,
+    cache_max_bytes: Option<u64>,
+}
+
+impl Args {
+    fn parse() -> Self {
+        let mut cli = Cli::new("sweep", "Sweeps one shard of the training grid.");
+        let args = Args {
+            sweep: SweepArgs::declare(&mut cli),
+            out: cli.opt("--out PATH", "shard file [default: under target/]", parse),
+            shard_index: cli.value("--shard-index I", 0, "this rig's shard", parse),
+            shard_count: shard_count(&mut cli),
+            profile_cache: cli.opt("--profile-cache DIR", "on-disk profile cache", parse),
+            no_checkpoint: cli.flag("--no-checkpoint", "disable the resumable journal"),
+            worker: cli.opt("--worker HOST:PORT", "lease from a coordinator", parse),
+            cache_max_bytes: cli.opt(
+                "--cache-max-bytes N",
+                "GC the cache to N bytes after",
+                parse,
+            ),
+        };
+        Tracing::declare(&mut cli).start(cli);
+        args
+    }
+}
+
+fn open_cache(args: &Args) -> Option<DiskCache> {
     args.profile_cache.as_ref().map(|dir| {
         open_profile_cache(dir).unwrap_or_else(|e| {
             portopt_trace::error!("bench.sweep", "cannot open profile cache {dir}: {e}");
@@ -122,7 +159,7 @@ fn open_journal(
 /// Sweeps one shard with checkpointing and returns the dataset, retiring
 /// the journal only after `publish` has safely landed the result.
 fn sweep_shard(
-    args: &BinArgs,
+    args: &Args,
     spec: &ShardSpec,
     pairs: &[(String, Module)],
     cache: Option<&DiskCache>,
@@ -139,7 +176,7 @@ fn sweep_shard(
             ("programs", (mine.len() as u64).into()),
         ],
     );
-    let opts = args.gen_options();
+    let opts = args.sweep.gen_options();
     let journal = open_journal(journal_path, mine, &opts, args.no_checkpoint);
     let (ds, report) = generate_with_checkpoint(mine, &opts, cache, journal.as_ref());
     sp.close_with(&[("wall_secs", report.wall_secs.into())]);
@@ -158,7 +195,7 @@ fn sweep_shard(
 /// Fleet mode: drain shard leases from the coordinator until the plan is
 /// finished. Each lease is swept with its own checkpoint journal, so even
 /// a worker killed mid-lease resumes its own partial work when restarted.
-fn run_as_worker(args: &BinArgs, addr: &str) -> ! {
+fn run_as_worker(args: &Args, addr: &str) -> ! {
     let (pairs, _) = suite_modules(2009);
     let name = format!(
         "worker-{}-{}",
@@ -170,15 +207,12 @@ fn run_as_worker(args: &BinArgs, addr: &str) -> ! {
     let outcome = coordinator::run_worker(addr, &name, |index, count| {
         let spec = ShardSpec::new(index, count).map_err(|e| e.to_string())?;
         let journal_path = format!(
-            "target/portopt-worker-{}{}-{index}of{count}.journal",
-            args.scale_name,
-            if args.extended { "-ext" } else { "" },
+            "target/portopt-worker-{}-{index}of{count}.journal",
+            args.sweep.tag()
         );
-        if let Err(e) = BinArgs::ensure_writable(&journal_path) {
-            // Refuse rather than die: the coordinator re-leases the shard
-            // to a rig whose disk works.
-            return Err(e);
-        }
+        // Refuse rather than die: the coordinator re-leases the shard to a
+        // rig whose disk works.
+        ensure_writable(&journal_path)?;
         println!("worker {name}: sweeping shard {index}/{count}");
         Ok(sweep_shard(
             args,
@@ -208,19 +242,19 @@ fn run_as_worker(args: &BinArgs, addr: &str) -> ! {
                 "worker {name}: plan finished ({} shards swept, {} refused)",
                 o.shards_swept, o.refused
             );
-            BinArgs::finish_trace();
+            finish_trace();
             std::process::exit(0);
         }
         Err(e) => {
             portopt_trace::error!("bench.sweep", "worker {name}: {e}");
-            BinArgs::finish_trace();
+            finish_trace();
             std::process::exit(1);
         }
     }
 }
 
 fn main() {
-    let args = BinArgs::parse();
+    let args = Args::parse();
     if let Some(addr) = args.worker.clone() {
         run_as_worker(&args, &addr);
     }
@@ -231,8 +265,15 @@ fn main() {
     });
     // Fail fast: a bad --out must cost seconds, not a full sweep. The
     // journal lands next to the shard file, so one probe covers both.
-    let out = args.shard_path();
-    if let Err(e) = BinArgs::ensure_writable(&out) {
+    let out = args.out.clone().unwrap_or_else(|| {
+        format!(
+            "target/portopt-shard-{}-{}of{}.json",
+            args.sweep.tag(),
+            args.shard_index,
+            args.shard_count
+        )
+    });
+    if let Err(e) = ensure_writable(&out) {
         portopt_trace::error!("bench.sweep", "refusing to sweep: {e}");
         std::process::exit(2);
     }
@@ -246,9 +287,9 @@ fn main() {
         range.start,
         range.end,
         pairs.len(),
-        args.scale.n_uarch,
-        args.scale.n_opts,
-        args.scale_name,
+        args.sweep.scale.n_uarch,
+        args.sweep.scale.n_opts,
+        args.sweep.scale_name,
     );
 
     let cache = open_cache(&args);
@@ -260,11 +301,11 @@ fn main() {
         cache.as_ref(),
         &journal_path,
         |ds, report| {
-            args.write_report(report);
+            args.sweep.write_report(report);
             if let Some(c) = &cache {
                 print_cache_stats(c);
             }
-            BinArgs::write_dataset(&out, ds);
+            write_dataset(&out, ds);
         },
     );
     if let Some(c) = &cache {
@@ -272,5 +313,5 @@ fn main() {
             gc_cache(c, max);
         }
     }
-    BinArgs::finish_trace();
+    finish_trace();
 }

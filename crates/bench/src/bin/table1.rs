@@ -5,6 +5,7 @@ use portopt_sim::{evaluate, profile};
 use portopt_uarch::{MicroArch, PerfCounters};
 
 fn main() {
+    portopt_bench::cli::Cli::new("table1", "Table 1: the 11 counters, measured for crc.").finish();
     println!("Table 1: performance counters (c) — measured on crc @ XScale");
     let p = portopt_mibench::by_name("crc", Default::default()).unwrap();
     let img = compile(&p.module, &OptConfig::o3());

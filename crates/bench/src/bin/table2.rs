@@ -2,6 +2,7 @@
 use portopt_uarch::*;
 
 fn main() {
+    portopt_bench::cli::Cli::new("table2", "Table 2: the μarch parameter space.").finish();
     println!(
         "Table 2: microarchitectural parameters (total configs: {})",
         MicroArchSpace::base().total_configs()

@@ -18,17 +18,9 @@
 //! producer is buggy, not merely interrupted. See `docs/OBSERVABILITY.md`
 //! for the format and schema.
 
+use portopt_bench::cli::{parse, Cli};
 use portopt_trace::read::{check_spans, read_trace, Json, TraceRecord};
 use std::collections::HashMap;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace FILE [--top N] [--tree-max N]\n\
-         \n  --top N       rows per ranking table (default 10)\
-         \n  --tree-max N  span-tree lines before truncation (default 100)"
-    );
-    std::process::exit(2);
-}
 
 fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -54,35 +46,11 @@ fn fmt_us(us: u64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut file = None;
-    let mut top = 10usize;
-    let mut tree_max = 100usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--top" => {
-                top = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--tree-max" => {
-                tree_max = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            other if !other.starts_with("--") && file.is_none() => {
-                file = Some(other.to_string());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let path = file.unwrap_or_else(|| usage());
+    let mut cli = Cli::new("trace", "Reports where a `--trace-out` file's time went.");
+    let top = cli.value("--top N", 10, "rows per ranking table", parse);
+    let tree_max = cli.value("--tree-max N", 100, "span-tree lines shown", parse);
+    let path = cli.positional("FILE", "the JSON-lines trace file");
+    cli.finish();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);

@@ -761,30 +761,23 @@ pub fn generate_with_report(
     programs: &[(String, Module)],
     opts: &GenOptions,
 ) -> (Dataset, SweepReport) {
-    generate_with_cache(programs, opts, None)
+    generate_with_checkpoint(programs, opts, None, None)
 }
 
 /// [`generate_with_report`] with an optional on-disk profile cache
-/// (opened via [`open_profile_cache`]): every compile's profiling run is
-/// first looked up by the image's structural fingerprint and persisted on
-/// miss, so repeated sweeps — including each rig of a sharded sweep
-/// re-run after a crash or a scale change that shares settings — reuse
-/// profiling runs *across process invocations*, not just within one.
+/// (opened via [`open_profile_cache`]) and an optional checkpoint journal
+/// (opened via [`open_sweep_journal`]).
 ///
-/// The cache never changes the result: a sweep with a warm, cold, or
-/// partially-corrupted cache produces a byte-identical dataset to one
-/// with no cache at all (rejected entries are logged, recomputed and
-/// overwritten). `cargo test -p portopt-core` asserts this.
-pub fn generate_with_cache(
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-    disk: Option<&DiskCache>,
-) -> (Dataset, SweepReport) {
-    generate_with_checkpoint(programs, opts, disk, None)
-}
-
-/// [`generate_with_cache`] with an optional checkpoint journal (opened via
-/// [`open_sweep_journal`]): every completed `(program, setting)` pair and
+/// With a cache, every compile's profiling run is first looked up by the
+/// image's structural fingerprint and persisted on miss, so repeated
+/// sweeps — including each rig of a sharded sweep re-run after a crash or
+/// a scale change that shares settings — reuse profiling runs *across
+/// process invocations*, not just within one. The cache never changes the
+/// result: a sweep with a warm, cold, or partially-corrupted cache
+/// produces a byte-identical dataset to one with no cache at all
+/// (rejected entries are logged, recomputed and overwritten).
+///
+/// With a journal, every completed `(program, setting)` pair and
 /// `-O3` baseline is appended to the journal as it finishes, and results
 /// already in the journal are **replayed instead of re-priced** — a sweep
 /// killed mid-shard and restarted with identical flags resumes where it
@@ -1169,13 +1162,13 @@ mod tests {
         let baseline = generate(&programs, &opts);
 
         let cold_cache = open_profile_cache(&dir).unwrap();
-        let (cold, _) = generate_with_cache(&programs, &opts, Some(&cold_cache));
+        let (cold, _) = generate_with_checkpoint(&programs, &opts, Some(&cold_cache), None);
         let cold_stats = cold_cache.stats();
         assert_eq!(cold_stats.hits, 0, "first run must be all misses");
         assert!(cold_stats.misses > 0);
 
         let warm_cache = open_profile_cache(&dir).unwrap();
-        let (warm, _) = generate_with_cache(&programs, &opts, Some(&warm_cache));
+        let (warm, _) = generate_with_checkpoint(&programs, &opts, Some(&warm_cache), None);
         let warm_stats = warm_cache.stats();
         assert!(warm_stats.hits > 0, "second run must hit: {warm_stats:?}");
         assert_eq!(warm_stats.misses, 0, "{warm_stats:?}");
@@ -1203,7 +1196,7 @@ mod tests {
             threads: 1,
         };
         let cold_cache = open_profile_cache(&dir).unwrap();
-        let (cold, _) = generate_with_cache(&programs, &opts, Some(&cold_cache));
+        let (cold, _) = generate_with_checkpoint(&programs, &opts, Some(&cold_cache), None);
 
         // Vandalise every entry: truncated JSON in one, a stale payload
         // version in the rest (as an old-IR-encoding cache would hold).
@@ -1224,7 +1217,7 @@ mod tests {
         // The sweep must reject every entry (named errors on stderr),
         // re-profile, produce identical output, and repair the cache.
         let vandalised = open_profile_cache(&dir).unwrap();
-        let (redone, _) = generate_with_cache(&programs, &opts, Some(&vandalised));
+        let (redone, _) = generate_with_checkpoint(&programs, &opts, Some(&vandalised), None);
         let stats = vandalised.stats();
         assert_eq!(stats.hits, 0, "{stats:?}");
         assert_eq!(stats.rejected as usize, entries.len(), "{stats:?}");
@@ -1233,7 +1226,7 @@ mod tests {
 
         // Overwritten entries serve the next run normally.
         let repaired = open_profile_cache(&dir).unwrap();
-        let (again, _) = generate_with_cache(&programs, &opts, Some(&repaired));
+        let (again, _) = generate_with_checkpoint(&programs, &opts, Some(&repaired), None);
         assert_eq!(repaired.stats().rejected, 0);
         assert!(repaired.stats().hits > 0);
         assert_eq!(bytes(&again), bytes(&cold));
@@ -1275,9 +1268,9 @@ mod tests {
             threads: 1,
         };
         let cold = open_profile_cache(&dir).unwrap();
-        generate_with_cache(&[variant(1)], &opts, Some(&cold));
+        generate_with_checkpoint(&[variant(1)], &opts, Some(&cold), None);
         let other_data = open_profile_cache(&dir).unwrap();
-        generate_with_cache(&[variant(2)], &opts, Some(&other_data));
+        generate_with_checkpoint(&[variant(2)], &opts, Some(&other_data), None);
         let s = other_data.stats();
         assert_eq!(
             s.hits, 0,
@@ -1286,7 +1279,7 @@ mod tests {
         assert!(s.misses > 0);
         // Same data again: now everything hits.
         let warm = open_profile_cache(&dir).unwrap();
-        generate_with_cache(&[variant(2)], &opts, Some(&warm));
+        generate_with_checkpoint(&[variant(2)], &opts, Some(&warm), None);
         assert!(warm.stats().hits > 0);
         assert_eq!(warm.stats().misses, 0);
         std::fs::remove_dir_all(&dir).unwrap();

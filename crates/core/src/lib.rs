@@ -35,9 +35,9 @@ pub mod shard;
 pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC};
 pub use compiler::{PortableCompiler, TrainOptions, GOOD_FRACTION};
 pub use dataset::{
-    generate, generate_with_cache, generate_with_checkpoint, generate_with_report,
-    generate_with_uarchs, open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program,
-    CachedProfile, Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
+    generate, generate_with_checkpoint, generate_with_report, generate_with_uarchs,
+    open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program, CachedProfile,
+    Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
     PROFILE_CACHE_PAYLOAD_VERSION,
 };
 pub use portopt_ml::{Model, ModelKind, ModelOptions};

@@ -43,6 +43,10 @@ pub mod metrics;
 pub mod reload;
 pub mod service;
 pub mod snapshot;
+// Fault-injection adapters for tests: built only for this crate's own
+// unit tests or with the `testkit` feature, which its integration tests
+// enable through a dev-dependency on the crate itself.
+#[cfg(any(test, feature = "testkit"))]
 pub mod testkit;
 
 pub use concurrent::{
@@ -68,6 +72,19 @@ mod tests {
     use portopt_passes::OptSpace;
     use portopt_uarch::MicroArch;
     use std::io::Cursor;
+
+    /// Serves `listener` with default options apart from the batch size.
+    fn serve_tcp(
+        service: &PredictionService,
+        listener: std::net::TcpListener,
+        batch: usize,
+    ) -> ServiceStats {
+        let opts = ServeOptions {
+            batch,
+            ..Default::default()
+        };
+        service.run_concurrent(listener, &opts).unwrap()
+    }
 
     fn program(name: &str, mem_heavy: bool) -> (String, Module) {
         let mut mb = ModuleBuilder::new(name);
@@ -377,7 +394,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(snap, 2);
-            service.run_tcp(listener, 4).unwrap()
+            serve_tcp(&service, listener, 4)
         });
 
         // First connection: two requests closed by EOF — the second
@@ -426,7 +443,7 @@ mod tests {
             let service = PredictionService::new(snap, 1);
             // batch is far larger than what the client sends: only the
             // idle flush can answer it.
-            service.run_tcp(listener, 1000).unwrap()
+            serve_tcp(&service, listener, 1000)
         });
         {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -537,7 +554,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(snap, 1);
-            service.run_tcp(listener, 64).unwrap()
+            serve_tcp(&service, listener, 64)
         });
         {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -730,7 +747,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(Snapshot::load(&path_for_server).unwrap(), 1)
                 .with_reload_path(&path_for_server);
-            service.run_tcp(listener, 8).unwrap()
+            serve_tcp(&service, listener, 8)
         });
 
         let mut stream = TcpStream::connect(addr).unwrap();

@@ -34,9 +34,6 @@ pub fn profile(
     let mut prof = st.prof;
     prof.ret = ret.unwrap_or(0);
     prof.mem_hash = hash_globals(&st.mem, module);
-    for (h, sd) in prof.icache_reuse.iter_mut().zip(&mut st.isd) {
-        let _ = (h, sd); // histograms already filled incrementally
-    }
     Ok(prof)
 }
 

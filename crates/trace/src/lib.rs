@@ -711,6 +711,16 @@ fn push_fields(out: &mut String, fields: &[(&str, FieldValue)]) {
 mod tests {
     use super::*;
     use crate::read::{read_trace, TraceRecord};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that touch the process-global sink: spans
+    /// opened on another test thread while the round trip has the sink
+    /// open would land in its trace file.
+    static GLOBAL_SINK: Mutex<()> = Mutex::new(());
+
+    fn lock_global_sink() -> MutexGuard<'static, ()> {
+        GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn level_parse_and_order() {
@@ -781,9 +791,11 @@ mod tests {
 
     /// End-to-end through the real global sink: init → events + spans →
     /// finish → parse back with the `read` module. This is the one test
-    /// that touches the global sink (tests share a process).
+    /// that opens the global sink; tests that emit spans hold
+    /// [`lock_global_sink`] so none lands in its file.
     #[test]
     fn global_sink_round_trip() {
+        let _sink = lock_global_sink();
         let dir = std::env::temp_dir().join(format!("portopt-trace-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -856,6 +868,7 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique_across_threads() {
+        let _sink = lock_global_sink();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {

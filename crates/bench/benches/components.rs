@@ -3,16 +3,11 @@
 //! search baselines. (Figure regeneration lives in the `--bin` targets.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use portopt_core::{
-    generate, sweep_program, GenOptions, ModelKind, PortableCompiler, SweepScale, TrainOptions,
-};
-use portopt_exec::Executor;
+use portopt_core::{GenOptions, ModelKind, PortableCompiler, Sweep, SweepScale, TrainOptions};
 use portopt_mibench::{by_name, suite, Workload};
 use portopt_passes::{compile, OptConfig};
 use portopt_sim::{evaluate, profile, simulate, PreparedEval};
-use portopt_uarch::{MicroArch, MicroArchSpace};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use portopt_uarch::MicroArch;
 
 fn bench_compile(c: &mut Criterion) {
     let p = by_name("crc", Workload::default()).unwrap();
@@ -61,18 +56,17 @@ fn bench_model(c: &mut Criterion) {
         .iter()
         .map(|p| (p.name.to_string(), p.module.clone()))
         .collect();
-    let ds = generate(
-        &pairs,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 4,
-                n_opts: 24,
-            },
-            seed: 1,
-            extended_space: false,
-            threads: 0,
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 4,
+            n_opts: 24,
         },
-    );
+        seed: 1,
+        extended_space: false,
+        threads: 0,
+    })
+    .run(&pairs)
+    .0;
     let mut g = c.benchmark_group("model");
     g.sample_size(20);
     g.bench_function("train", |b| {
@@ -103,21 +97,21 @@ fn bench_model(c: &mut Criterion) {
 }
 
 fn bench_sweep(c: &mut Criterion) {
-    // The smoke-scale per-program sweep (6 uarchs × 40 settings) through
-    // the work-stealing executor — the unit of dataset-generation
-    // throughput that `BENCH_*.json` tracks across PRs.
+    // The smoke-scale per-program sweep (6 uarchs × 40 settings, the
+    // figure bins' seed) through the work-stealing executor — the unit of
+    // dataset-generation throughput that `BENCH_*.json` tracks across PRs.
     let p = by_name("crc", Workload::default()).unwrap();
-    let scale = SweepScale::smoke();
-    let mut rng = StdRng::seed_from_u64(2009);
-    let uarchs = MicroArchSpace::base().sample_n(scale.n_uarch, &mut rng);
-    // The exact setting sample generate() would draw at this seed, so the
-    // tracked number measures the real workload.
-    let configs = portopt_core::dataset::sample_configs(scale.n_opts, 2009);
-    let exec = Executor::new(0);
+    let programs = [(p.name.to_string(), p.module)];
+    let sweep = Sweep::new(GenOptions {
+        scale: SweepScale::smoke(),
+        seed: 2009,
+        extended_space: false,
+        threads: 0,
+    });
     let mut g = c.benchmark_group("sweep");
     g.sample_size(10);
     g.bench_function("sweep_program_crc_smoke", |b| {
-        b.iter(|| sweep_program(&p.module, &uarchs, &configs, &exec))
+        b.iter(|| sweep.run(&programs))
     });
     g.finish();
 }
@@ -130,18 +124,17 @@ fn bench_search(c: &mut Criterion) {
         .iter()
         .map(|p| (p.name.to_string(), p.module.clone()))
         .collect();
-    let ds = generate(
-        &pairs,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 1,
-                n_opts: 8,
-            },
-            seed: 2,
-            extended_space: false,
-            threads: 0,
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 1,
+            n_opts: 8,
         },
-    );
+        seed: 2,
+        extended_space: false,
+        threads: 0,
+    })
+    .run(&pairs)
+    .0;
     let base = ds.o3_cycles[0][0];
     let synthetic = move |cfg: &OptConfig| -> f64 {
         // Cheap stand-in cost keyed off the config bits, anchored to a real
@@ -175,18 +168,17 @@ fn bench_serve(c: &mut Criterion) {
         .iter()
         .map(|p| (p.name.to_string(), p.module.clone()))
         .collect();
-    let ds = generate(
-        &pairs,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 6,
-                n_opts: 40,
-            },
-            seed: 2009,
-            extended_space: false,
-            threads: 0,
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 6,
+            n_opts: 40,
         },
-    );
+        seed: 2009,
+        extended_space: false,
+        threads: 0,
+    })
+    .run(&pairs)
+    .0;
     let service = PredictionService::new(Snapshot::train(&ds, &TrainOptions::default()), 0);
     let lines: Vec<String> = (0..64)
         .map(|i| {

@@ -3,7 +3,7 @@
 
 use portopt_bench::cli::Cli;
 use portopt_bench::{finish_trace, SweepArgs, Tracing};
-use portopt_core::generate_with_uarchs;
+use portopt_core::Sweep;
 use portopt_experiments::figures::fig1;
 use portopt_mibench::{by_name, Workload};
 use portopt_uarch::MicroArch;
@@ -34,8 +34,12 @@ fn main() {
     // Price the usual setting sample directly on the three *named*
     // configurations (same settings as the sampled-space dataset for this
     // seed, but each binary is compiled and profiled exactly once).
-    let (ds, report) = generate_with_uarchs(&pairs, &uarchs, &args.gen_options());
-    args.write_report(&report);
+    let (ds, report) = Sweep {
+        uarchs: Some(&uarchs),
+        ..Sweep::new(args.gen_options())
+    }
+    .run(&pairs);
+    args.write_report(&report, None);
 
     let f = fig1(&ds, &[0, 1, 2], &[0, 1, 2], &labels.map(String::from));
     println!("{f}");

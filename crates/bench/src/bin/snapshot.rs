@@ -4,7 +4,7 @@
 //! artifact alone.
 //!
 //! ```text
-//! # train at smoke scale (cached dataset) and write target/portopt-model-smoke.snap
+//! # train at smoke scale (dataset store under target/) and write target/portopt-model-smoke.snap
 //! cargo run --release -p portopt-bench --bin snapshot -- --scale smoke
 //!
 //! # train another model kind from the zoo on the same dataset

@@ -40,12 +40,10 @@
 
 use portopt_bench::cli::{parse, Cli};
 use portopt_bench::{
-    coordinator, ensure_writable, finish_trace, shard_count, write_dataset, SweepArgs, Tracing,
+    coordinator, ensure_writable, finish_trace, open_journal, shard_count, write_dataset,
+    JournalRole, SweepArgs, Tracing,
 };
-use portopt_core::{
-    generate_with_checkpoint, open_profile_cache, open_sweep_journal, CheckpointJournal, Dataset,
-    GenOptions, ShardSpec, SweepReport,
-};
+use portopt_core::{open_profile_cache, CheckpointJournal, Dataset, ShardSpec, Sweep, SweepReport};
 use portopt_exec::DiskCache;
 use portopt_experiments::suite_modules;
 use portopt_ir::Module;
@@ -128,34 +126,6 @@ fn gc_cache(cache: &DiskCache, max_bytes: u64) {
     }
 }
 
-/// Opens the checkpoint journal for one shard sweep (unless disabled) and
-/// reports what it resumed — the log line the CI crash-resume job greps.
-fn open_journal(
-    path: &str,
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-    disabled: bool,
-) -> Option<CheckpointJournal> {
-    if disabled {
-        return None;
-    }
-    let journal = open_sweep_journal(path, programs, opts).unwrap_or_else(|e| {
-        portopt_trace::error!("bench.sweep", "cannot open checkpoint journal {path}: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "checkpoint journal: resumed {} completed pairs, {} baselines{} ({path})",
-        journal.resumed_pairs(),
-        journal.resumed_baselines(),
-        if journal.healed_bytes() > 0 {
-            format!(", healed {} torn bytes", journal.healed_bytes())
-        } else {
-            String::new()
-        },
-    );
-    Some(journal)
-}
-
 /// Sweeps one shard with checkpointing and returns the dataset, retiring
 /// the journal only after `publish` has safely landed the result.
 fn sweep_shard(
@@ -164,7 +134,7 @@ fn sweep_shard(
     pairs: &[(String, Module)],
     cache: Option<&DiskCache>,
     journal_path: &str,
-    publish: impl FnOnce(&Dataset, &SweepReport),
+    publish: impl FnOnce(&Dataset, &SweepReport, Option<&CheckpointJournal>),
 ) -> Dataset {
     let mine = spec.slice(pairs);
     let sp = portopt_trace::span(
@@ -176,11 +146,22 @@ fn sweep_shard(
             ("programs", (mine.len() as u64).into()),
         ],
     );
-    let opts = args.sweep.gen_options();
-    let journal = open_journal(journal_path, mine, &opts, args.no_checkpoint);
-    let (ds, report) = generate_with_checkpoint(mine, &opts, cache, journal.as_ref());
+    let plan = Sweep {
+        cache,
+        ..Sweep::new(args.sweep.gen_options())
+    };
+    let journal = if args.no_checkpoint {
+        None
+    } else {
+        open_journal(journal_path, mine, &plan, JournalRole::Shard)
+    };
+    let (ds, report) = Sweep {
+        journal: journal.as_ref(),
+        ..plan
+    }
+    .run(mine);
     sp.close_with(&[("wall_secs", report.wall_secs.into())]);
-    publish(&ds, &report);
+    publish(&ds, &report, journal.as_ref());
     if let Some(j) = journal {
         if let Err(e) = j.retire() {
             portopt_trace::warn!(
@@ -220,7 +201,7 @@ fn run_as_worker(args: &Args, addr: &str) -> ! {
             &pairs,
             cache.as_ref(),
             &journal_path,
-            |_, report| {
+            |_, report, _| {
                 portopt_trace::info!(
                     "bench.sweep",
                     { wall_secs = report.wall_secs },
@@ -300,8 +281,8 @@ fn main() {
         &pairs,
         cache.as_ref(),
         &journal_path,
-        |ds, report| {
-            args.sweep.write_report(report);
+        |ds, report, journal| {
+            args.sweep.write_report(report, journal);
             if let Some(c) = &cache {
                 print_cache_stats(c);
             }

@@ -792,7 +792,7 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portopt_core::{generate, GenOptions, ShardSpec, SweepScale};
+    use portopt_core::{GenOptions, ShardSpec, Sweep, SweepScale};
     use portopt_ir::{FuncBuilder, Module, ModuleBuilder};
 
     fn tiny_program(name: &str, stride: i64) -> (String, Module) {
@@ -838,7 +838,7 @@ mod tests {
             tiny_program("p3", 3),
         ];
         let spec = ShardSpec::new(index, count).unwrap();
-        generate(spec.slice(&programs), &tiny_opts())
+        Sweep::new(tiny_opts()).run(spec.slice(&programs)).0
     }
 
     #[test]
@@ -1005,7 +1005,7 @@ mod tests {
             tiny_program("p2", 7),
             tiny_program("p3", 3),
         ];
-        let whole = generate(&programs, &tiny_opts());
+        let whole = Sweep::new(tiny_opts()).run(&programs).0;
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -1055,7 +1055,7 @@ mod tests {
         // shard 0.
         let outcome = run_worker(&addr, "healthy", |index, count| {
             let spec = ShardSpec::new(index, count).map_err(|e| e.to_string())?;
-            Ok(generate(spec.slice(&programs), &tiny_opts()))
+            Ok(Sweep::new(tiny_opts()).run(spec.slice(&programs)).0)
         })
         .unwrap();
         assert_eq!(outcome.shards_swept, 3);
@@ -1078,7 +1078,7 @@ mod tests {
     #[test]
     fn refused_shards_are_re_leased_over_tcp() {
         let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
-        let whole = generate(&programs, &tiny_opts());
+        let whole = Sweep::new(tiny_opts()).run(&programs).0;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let coord = Arc::new(Mutex::new(Coordinator::new(CoordConfig {
@@ -1101,7 +1101,7 @@ mod tests {
                 return Err("cache dir unwritable".to_string());
             }
             let spec = ShardSpec::new(index, count).map_err(|e| e.to_string())?;
-            Ok(generate(spec.slice(&programs), &tiny_opts()))
+            Ok(Sweep::new(tiny_opts()).run(spec.slice(&programs)).0)
         })
         .unwrap();
         assert_eq!(outcome.refused, 1);

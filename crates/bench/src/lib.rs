@@ -8,7 +8,7 @@
 //! `--help` lists them and anything else is a usage error (exit 2). The
 //! flag groups several bins share are declared once, here: [`SweepArgs`]
 //! (`--scale/--extended/--threads`, plus `--no-cache` where the dataset
-//! cache is read), [`ServeArgs`] (the `serve`/`ab` listener) and
+//! store is read), [`ServeArgs`] (the `serve`/`ab` listener) and
 //! [`Tracing`] (`--log-level/--trace-out`).
 
 #![warn(missing_docs)]
@@ -17,9 +17,11 @@ pub mod cli;
 pub mod coordinator;
 
 use cli::{parse, positive, Cli};
-use portopt_core::{Dataset, GenOptions, SweepReport, SweepScale};
+use portopt_core::{
+    open_sweep_journal, CheckpointJournal, Dataset, GenOptions, Sweep, SweepReport, SweepScale,
+};
 use portopt_experiments::loo::{run_loo, LooResult};
-use portopt_experiments::{dataset_cached, suite_modules};
+use portopt_experiments::suite_modules;
 use portopt_ir::Module;
 use portopt_trace::Level;
 
@@ -66,7 +68,7 @@ pub fn scale_name(cli: &mut Cli) -> String {
 }
 
 /// The sweep a bin runs — `--scale`, `--extended`, `--threads` — and, for
-/// the bins that read the dataset cache, `--no-cache`.
+/// the bins that read the dataset store, `--no-cache`.
 pub struct SweepArgs {
     /// Sweep scale.
     pub scale: SweepScale,
@@ -103,9 +105,9 @@ impl SweepArgs {
         }
     }
 
-    /// Adds `--no-cache`, for the bins that read the dataset cache.
+    /// Adds `--no-cache`, for the bins that read the dataset store.
     pub fn cached(mut self, cli: &mut Cli) -> Self {
-        let help = "regenerate the dataset instead of reading target/ caches";
+        let help = "sweep afresh instead of reading the target/ dataset store and LOO cache";
         self.no_cache = cli.flag("--no-cache", help);
         self
     }
@@ -137,8 +139,21 @@ impl SweepArgs {
 
     /// Writes the machine-readable sweep throughput report (settings/sec,
     /// wall time) to `target/BENCH_sweep-TAG.json` and echoes it to
-    /// stderr, so every figure run leaves a perf data point behind.
-    pub fn write_report(&self, report: &SweepReport) {
+    /// stderr, so every fresh sweep leaves a perf data point behind.
+    /// Returns whether it recorded one: a sweep whose `journal` replayed
+    /// any work measured the replay, not the sweep, so it is skipped with
+    /// an `info` line.
+    pub fn write_report(&self, report: &SweepReport, journal: Option<&CheckpointJournal>) -> bool {
+        if let Some(j) = journal.filter(|j| j.resumed_pairs() + j.resumed_baselines() > 0) {
+            portopt_trace::info!(
+                "bench",
+                "sweep replayed {} pairs and {} baselines from {}: no throughput report recorded",
+                j.resumed_pairs(),
+                j.resumed_baselines(),
+                j.path().display(),
+            );
+            return false;
+        }
         portopt_trace::info!(
             "bench",
             {
@@ -163,38 +178,137 @@ impl SweepArgs {
                 portopt_trace::warn!("bench", "could not write {path}: {e}");
             }
         }
+        true
     }
 
-    /// Loads or generates the dataset (cached under `target/`). A fresh
-    /// generation also records its throughput report.
+    /// Sweeps the suite through the dataset store: a checkpoint journal
+    /// at `target/portopt-ds-TAG.journal` that is never retired, so a
+    /// finished store replays the dataset without compiling and a killed
+    /// run resumes (see docs/SWEEP.md §1). A fresh sweep also records its
+    /// throughput report.
     pub fn dataset(&self) -> Dataset {
-        let path = std::path::PathBuf::from(format!("target/portopt-ds-{}.json", self.tag()));
-        let cache = if self.no_cache { None } else { Some(&*path) };
-        dataset_cached(&self.gen_options(), cache, |r| self.write_report(r))
+        let (programs, _) = suite_modules(2009);
+        let plan = Sweep::new(self.gen_options());
+        let path = format!("target/portopt-ds-{}.journal", self.tag());
+        let store = if self.no_cache {
+            None
+        } else {
+            open_journal(&path, &programs, &plan, JournalRole::Store)
+        };
+        let (ds, report) = Sweep {
+            journal: store.as_ref(),
+            ..plan
+        }
+        .run(&programs);
+        self.write_report(&report, store.as_ref());
+        ds
     }
 
-    /// Dataset plus the leave-one-out evaluation (also cached).
+    /// Dataset plus the leave-one-out evaluation, cached under `target/`
+    /// for the dataset it was computed on.
     pub fn dataset_and_loo(&self) -> (Dataset, LooResult, Vec<Module>) {
         let ds = self.dataset();
         let (_, modules) = suite_modules(2009);
-        let cache = format!("target/portopt-loo-{}.json", self.tag());
+        let path = format!("target/portopt-loo-{}.json", self.tag());
         if !self.no_cache {
-            if let Ok(bytes) = std::fs::read(&cache) {
-                if let Ok(loo) = serde_json::from_slice::<LooResult>(&bytes) {
-                    if loo.model_speedup.len() == ds.n_programs() {
-                        return (ds, loo, modules);
-                    }
-                }
+            if let Some(loo) = cached_loo(&path, &ds) {
+                return (ds, loo, modules);
             }
         }
         let loo = run_loo(&ds, &modules, self.threads);
         if !self.no_cache {
             if let Ok(bytes) = serde_json::to_vec(&loo) {
-                let _ = std::fs::write(&cache, bytes);
+                if let Err(e) = write_atomic(&path, &bytes) {
+                    portopt_trace::warn!("bench", "could not write {path}: {e}");
+                }
             }
         }
         (ds, loo, modules)
     }
+}
+
+/// The leave-one-out result cached at `path`, if it was computed on `ds`:
+/// its `best_speedup` matrix must equal `ds`'s cell for cell. That check
+/// is exact — the values are a pure function of `ds.cycles`, and JSON
+/// floats round-trip exactly — so a result of an older dataset is
+/// recomputed, never shown beside a fresh one.
+fn cached_loo(path: &str, ds: &Dataset) -> Option<LooResult> {
+    let loo: LooResult = serde_json::from_slice(&std::fs::read(path).ok()?).ok()?;
+    let best: Vec<Vec<f64>> = (0..ds.n_programs())
+        .map(|p| (0..ds.n_uarchs()).map(|u| ds.best_speedup(p, u)).collect())
+        .collect();
+    (loo.best_speedup == best).then_some(loo)
+}
+
+/// What a checkpoint journal is for, which decides what [`open_journal`]
+/// does with one it cannot use and where it reports a resume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JournalRole {
+    /// The `sweep` bin's shard journal. Its pairs may be hours of a
+    /// fleet's work, so a journal that cannot be opened — its plan check
+    /// refused it, say — exits 2 (docs/SWEEP.md §1). The resume line goes
+    /// to stdout, the bin's report channel.
+    Shard,
+    /// A figure bin's dataset store. It is recomputable, so a refused
+    /// journal is discarded with a warning and re-swept, and one that
+    /// cannot be written is skipped with a warning, like `--no-cache`.
+    /// The resume line is logged to stderr, leaving stdout to the figure.
+    Store,
+}
+
+/// Opens the checkpoint journal at `path` for `plan` over `programs` and
+/// reports what it resumed — the `checkpoint journal: resumed …` line
+/// that CI greps. `None` only for a [`JournalRole::Store`] that cannot be
+/// used.
+pub fn open_journal(
+    path: &str,
+    programs: &[(String, Module)],
+    plan: &Sweep,
+    role: JournalRole,
+) -> Option<CheckpointJournal> {
+    let journal = match role {
+        JournalRole::Shard => open_sweep_journal(path, programs, plan).unwrap_or_else(|e| {
+            portopt_trace::error!("bench", "cannot open checkpoint journal {path}: {e}");
+            std::process::exit(2);
+        }),
+        JournalRole::Store => open_store(path, programs, plan)?,
+    };
+    let line = format!(
+        "checkpoint journal: resumed {} completed pairs, {} baselines{} ({path})",
+        journal.resumed_pairs(),
+        journal.resumed_baselines(),
+        if journal.healed_bytes() > 0 {
+            format!(", healed {} torn bytes", journal.healed_bytes())
+        } else {
+            String::new()
+        },
+    );
+    match role {
+        JournalRole::Shard => println!("{line}"),
+        JournalRole::Store => portopt_trace::info!("bench", "{line}"),
+    }
+    Some(journal)
+}
+
+/// [`open_journal`] for a [`JournalRole::Store`]: creates `target/` if
+/// needed, and discards a journal that cannot be replayed.
+fn open_store(
+    path: &str,
+    programs: &[(String, Module)],
+    plan: &Sweep,
+) -> Option<CheckpointJournal> {
+    let opened = ensure_writable(path).and_then(|()| {
+        open_sweep_journal(path, programs, plan).or_else(|e| {
+            portopt_trace::warn!("bench", "discarding dataset store {path}: {e}");
+            std::fs::remove_file(path).map_err(|e| e.to_string())?;
+            open_sweep_journal(path, programs, plan).map_err(|e| e.to_string())
+        })
+    });
+    opened
+        .inspect_err(|e| {
+            portopt_trace::warn!("bench", "no dataset store: {e}; sweeping without one")
+        })
+        .ok()
 }
 
 fn threads(cli: &mut Cli) -> usize {
@@ -337,4 +451,104 @@ pub fn write_dataset(path: &str, ds: &Dataset) {
         ds.n_programs(),
         bytes.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use portopt_core::{JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC};
+    use portopt_uarch::MicroArch;
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("portopt-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_sweep_that_replayed_a_pair_records_no_report() {
+        let dir = scratch("replayed");
+        let path = dir.join("sweep.journal");
+        let plan = 7u64;
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"magic\":\"{JOURNAL_MAGIC}\",\"format_version\":{JOURNAL_FORMAT_VERSION},\
+                 \"plan\":\"{plan:016x}\"}}\n{{\"Pair\":{{\"p\":0,\"t\":0,\"row\":[1.0]}}}}\n"
+            ),
+        )
+        .unwrap();
+        let journal = CheckpointJournal::open(&path, plan).unwrap();
+        assert_eq!(
+            (journal.resumed_pairs(), journal.resumed_baselines()),
+            (1, 0)
+        );
+        let args = SweepArgs {
+            scale: SweepScale::smoke(),
+            scale_name: "replayed-test".into(),
+            extended: false,
+            threads: 1,
+            no_cache: false,
+        };
+        let (_, report) = Sweep::new(args.gen_options()).run(&[]);
+        assert!(!args.write_report(&report, Some(&journal)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_store_is_discarded_and_an_unwritable_one_skipped() {
+        let dir = scratch("store");
+        let path = dir.join("ds.journal");
+        let path = path.to_str().unwrap();
+        let plan = Sweep::new(GenOptions::default());
+        // A store of another plan (an edited suite or scale) is replaced
+        // by an empty one for this plan, which then reopens cleanly.
+        drop(CheckpointJournal::open(path, 1).unwrap());
+        let store = open_store(path, &[], &plan).expect("a fresh store");
+        assert_eq!(store.resumed_pairs() + store.resumed_baselines(), 0);
+        drop(store);
+        assert!(open_sweep_journal(path, &[], &plan).is_ok());
+        // A store whose directory cannot be created is skipped.
+        std::fs::write(dir.join("file"), b"").unwrap();
+        let blocked = dir.join("file").join("ds.journal");
+        assert!(open_store(blocked.to_str().unwrap(), &[], &plan).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_loo_cache_with_one_altered_cell_is_recomputed() {
+        let ds = Dataset {
+            programs: vec!["a".into(), "b".into()],
+            uarchs: vec![MicroArch::xscale(); 2],
+            configs: Vec::new(),
+            cycles: vec![
+                vec![vec![10.0, 20.0], vec![30.0, 15.0]],
+                vec![vec![7.0, 8.0], vec![9.0, 3.0]],
+            ],
+            o3_cycles: vec![vec![12.0, 30.0], vec![7.0, 6.0]],
+            features: Vec::new(),
+        };
+        let best: Vec<Vec<f64>> = (0..2)
+            .map(|p| (0..2).map(|u| ds.best_speedup(p, u)).collect())
+            .collect();
+        let mut loo = LooResult {
+            model_speedup: best.clone(),
+            best_speedup: best,
+            predicted: vec![vec![portopt_passes::OptConfig::o3(); 2]; 2],
+        };
+        let dir = scratch("loo");
+        let path = dir.join("loo.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, serde_json::to_vec(&loo).unwrap()).unwrap();
+        assert!(cached_loo(path, &ds).is_some(), "computed on this dataset");
+
+        loo.best_speedup[1][0] *= 1.5;
+        std::fs::write(path, serde_json::to_vec(&loo).unwrap()).unwrap();
+        assert!(
+            cached_loo(path, &ds).is_none(),
+            "computed on another dataset"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -27,8 +27,8 @@
 //! a future format version, or a `plan` fingerprint that does not match
 //! the current invocation's programs/options each raise their own
 //! [`JournalError`], exactly like `DiskCache`'s envelope checks. The plan
-//! fingerprint covers the program modules, both sampled axes and the
-//! profiling limits, so a journal can never leak rows into a sweep with
+//! fingerprint covers the program modules, both resolved axes (sampled or
+//! named microarchitectures, and the settings) and the profiling limits, so a journal can never leak rows into a sweep with
 //! different flags.
 //!
 //! ## Crash safety

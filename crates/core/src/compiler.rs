@@ -249,7 +249,7 @@ impl PortableCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate, GenOptions, SweepScale};
+    use crate::dataset::{GenOptions, Sweep, SweepScale};
     use portopt_ir::{FuncBuilder, ModuleBuilder};
 
     fn program(name: &str, mem_heavy: bool) -> (String, Module) {
@@ -290,18 +290,17 @@ mod tests {
             program("mem2", true),
             program("alu2", false),
         ];
-        generate(
-            &programs,
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 5,
-                    n_opts: 30,
-                },
-                seed: 11,
-                extended_space: false,
-                threads: 2,
+        Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 5,
+                n_opts: 30,
             },
-        )
+            seed: 11,
+            extended_space: false,
+            threads: 2,
+        })
+        .run(&programs)
+        .0
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl Dataset {
     /// shards in index order reproduces the unsharded sweep byte for byte.
     ///
     /// ```
-    /// use portopt_core::{generate, Dataset, GenOptions, MergeError, SweepScale};
+    /// use portopt_core::{Dataset, GenOptions, MergeError, Sweep, SweepScale};
     /// use portopt_ir::{FuncBuilder, Module, ModuleBuilder};
     ///
     /// fn toy(name: &str, start: i64) -> (String, Module) {
@@ -151,14 +151,14 @@ impl Dataset {
     ///     threads: 1,
     ///     ..GenOptions::default()
     /// };
-    /// let rig0 = generate(&[toy("a", 1)], &opts);
-    /// let rig1 = generate(&[toy("b", 2)], &opts);
+    /// let rig0 = Sweep::new(opts).run(&[toy("a", 1)]).0;
+    /// let rig1 = Sweep::new(opts).run(&[toy("b", 2)]).0;
     /// // ...and their shards concatenate into one training dataset.
     /// let merged = Dataset::merge(vec![rig0, rig1]).unwrap();
     /// assert_eq!(merged.programs, vec!["a", "b"]);
     ///
     /// // A shard swept under a different seed is refused, not mixed in.
-    /// let foreign = generate(&[toy("c", 3)], &GenOptions { seed: 1, ..opts });
+    /// let foreign = Sweep::new(GenOptions { seed: 1, ..opts }).run(&[toy("c", 3)]).0;
     /// assert!(matches!(
     ///     Dataset::merge(vec![merged, foreign]),
     ///     Err(MergeError::UarchMismatch { shard: 1 })
@@ -392,11 +392,6 @@ pub fn open_profile_cache(dir: impl AsRef<std::path::Path>) -> Result<DiskCache,
     DiskCache::open(dir, PROFILE_CACHE_KIND, PROFILE_CACHE_PAYLOAD_VERSION)
 }
 
-/// Evaluates one program: compiles and profiles each setting once, prices
-/// it on every configuration. Returns `(cycles[u][c], o3_cycles[u],
-/// features[u])`.
-type ProgramSweep = (Vec<Vec<f64>>, Vec<f64>, Vec<FeatureVec>);
-
 /// Per-program cache of evaluation rows, keyed by compiled-image
 /// fingerprint: distinct settings that lower a program to the same machine
 /// code share one profiling run (the expensive step).
@@ -472,19 +467,10 @@ fn profile_for(
 
 /// Profiles one compiled image and prices it on every configuration —
 /// the per-task kernel shared by dataset generation and the LOO pricing
-/// loop in `portopt-experiments`. A binary that fails to run (fuel
-/// blow-up from a pathological unroll, say) is priced as unusable
-/// (`INFINITY` everywhere).
+/// loop in `portopt-experiments` (which passes no disk cache). A binary
+/// that fails to run (fuel blow-up from a pathological unroll, say) is
+/// priced as unusable (`INFINITY` everywhere).
 pub fn price_image(
-    img: &portopt_passes::CodeImage,
-    module: &Module,
-    uarchs: &[MicroArch],
-) -> Vec<f64> {
-    price_image_with(img, module, uarchs, None)
-}
-
-/// [`price_image`] with an optional on-disk profile cache.
-fn price_image_with(
     img: &portopt_passes::CodeImage,
     module: &Module,
     uarchs: &[MicroArch],
@@ -531,7 +517,7 @@ fn eval_setting(
     if let Some(hit) = cache.lock().expect("profile cache").get(&fp) {
         return (hit.clone(), true);
     }
-    let row = Arc::new(price_image_with(&img, module, uarchs, disk));
+    let row = Arc::new(price_image(&img, module, uarchs, disk));
     let row = cache
         .lock()
         .expect("profile cache")
@@ -585,42 +571,17 @@ fn dedup_configs(configs: &[OptConfig]) -> (Vec<usize>, Vec<usize>) {
     (uniques, to_unique)
 }
 
-/// Sweeps one program over the settings on the given executor: the unit of
-/// work behind [`generate`], exposed for benchmarking (`cargo bench`).
-pub fn sweep_program(
-    module: &Module,
-    uarchs: &[MicroArch],
-    configs: &[OptConfig],
-    exec: &Executor,
-) -> ProgramSweep {
-    let (o3_cycles, features) = o3_baseline(module, uarchs, None);
-    let (uniques, to_unique) = dedup_configs(configs);
-    let cache: ProfileCache = Mutex::new(HashMap::new());
-    let rows = exec.map_indexed(uniques.len(), |t| {
-        eval_setting(module, uarchs, &configs[uniques[t]], &cache, None).0
-    });
-    let mut cycles: Vec<Vec<f64>> = vec![vec![0.0; configs.len()]; uarchs.len()];
-    for (c, &t) in to_unique.iter().enumerate() {
-        for (u, cy) in rows[t].iter().enumerate() {
-            cycles[u][c] = *cy;
-        }
-    }
-    (cycles, o3_cycles, features)
-}
-
-/// Samples the setting list for a seed — the one sampling recipe shared by
-/// every generation entry point (and the sweep benchmarks), so figure
-/// sweeps and tracked throughput numbers see the same settings as
-/// [`generate`].
-pub fn sample_configs(n_opts: usize, seed: u64) -> Vec<OptConfig> {
+/// Samples the setting list for a seed — the one sampling recipe every
+/// sweep shares, so named-μarch sweeps see the same settings as sampled
+/// ones.
+fn sample_configs(n_opts: usize, seed: u64) -> Vec<OptConfig> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
     (0..n_opts).map(|_| OptConfig::sample(&mut rng)).collect()
 }
 
-/// The flattened-grid sweep shared by [`generate`] and
-/// [`generate_with_uarchs`]: one executor pass over every
-/// `(program, unique setting)` task, so stragglers in one program overlap
-/// with work from the next.
+/// The flattened-grid sweep behind [`Sweep::run`]: one executor pass over
+/// every `(program, unique setting)` task, so stragglers in one program
+/// overlap with work from the next.
 fn sweep_grid(
     programs: &[(String, Module)],
     uarchs: Vec<MicroArch>,
@@ -751,70 +712,93 @@ fn sweep_grid(
     (ds, report)
 }
 
-/// Generates a full dataset for the given programs.
-pub fn generate(programs: &[(String, Module)], opts: &GenOptions) -> Dataset {
-    generate_with_report(programs, opts).0
-}
-
-/// [`generate`] plus the sweep's [`SweepReport`].
-pub fn generate_with_report(
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-) -> (Dataset, SweepReport) {
-    generate_with_checkpoint(programs, opts, None, None)
-}
-
-/// [`generate_with_report`] with an optional on-disk profile cache
-/// (opened via [`open_profile_cache`]) and an optional checkpoint journal
-/// (opened via [`open_sweep_journal`]).
+/// One training sweep (§3.2): the plan for pricing programs × settings ×
+/// microarchitectures, and the only way to run it.
 ///
-/// With a cache, every compile's profiling run is first looked up by the
-/// image's structural fingerprint and persisted on miss, so repeated
-/// sweeps — including each rig of a sharded sweep re-run after a crash or
-/// a scale change that shares settings — reuse profiling runs *across
-/// process invocations*, not just within one. The cache never changes the
-/// result: a sweep with a warm, cold, or partially-corrupted cache
-/// produces a byte-identical dataset to one with no cache at all
-/// (rejected entries are logged, recomputed and overwritten).
+/// The settings are always `opts.scale.n_opts` samples drawn from
+/// `opts.seed`. The microarchitectures are `opts.scale.n_uarch` samples
+/// from the same seed (from the §7 extended space if
+/// `opts.extended_space`), unless `uarchs` names them — Figure 1's three
+/// machines, say — in which case the setting sample is unchanged.
 ///
-/// With a journal, every completed `(program, setting)` pair and
-/// `-O3` baseline is appended to the journal as it finishes, and results
-/// already in the journal are **replayed instead of re-priced** — a sweep
-/// killed mid-shard and restarted with identical flags resumes where it
-/// died. Like the profile cache, the journal never changes the result: a
-/// resumed sweep's dataset is byte-identical to an uninterrupted run
-/// (asserted by `cargo test -p portopt-core` and the CI crash-resume job).
-pub fn generate_with_checkpoint(
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-    disk: Option<&DiskCache>,
-    journal: Option<&CheckpointJournal>,
-) -> (Dataset, SweepReport) {
-    let (uarchs, configs) = sample_axes(opts);
-    sweep_grid(programs, uarchs, configs, opts.threads, disk, journal)
+/// Two optional stores only short-circuit recomputation; neither changes
+/// a byte of the result:
+///
+/// * `cache`, a profile cache ([`open_profile_cache`]): every compile's
+///   profiling run is first looked up by a structural hash of the image
+///   and persisted on miss, so repeated sweeps — including each rig of a
+///   sharded sweep re-run after a crash — reuse profiling runs across
+///   process invocations. Rejected entries are logged, recomputed and
+///   overwritten.
+/// * `journal`, a checkpoint journal ([`open_sweep_journal`]): every
+///   completed `(program, setting)` pair and `-O3` baseline is appended
+///   as it finishes, and results already in the journal are replayed
+///   instead of re-priced, so a sweep killed mid-shard and restarted with
+///   the same plan resumes where it died.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep<'a> {
+    /// Scale, seed, μarch space and worker threads.
+    pub opts: GenOptions,
+    /// Price these microarchitectures instead of sampling them.
+    pub uarchs: Option<&'a [MicroArch]>,
+    /// On-disk profile cache.
+    pub cache: Option<&'a DiskCache>,
+    /// Checkpoint journal to replay from and append to.
+    pub journal: Option<&'a CheckpointJournal>,
 }
 
-/// Samples both sweep axes for the given options — the single sampling
-/// recipe [`generate`] and the plan fingerprint agree on.
-fn sample_axes(opts: &GenOptions) -> (Vec<MicroArch>, Vec<OptConfig>) {
-    let space = if opts.extended_space {
-        MicroArchSpace::extended()
-    } else {
-        MicroArchSpace::base()
-    };
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let uarchs = space.sample_n(opts.scale.n_uarch, &mut rng);
-    let configs = sample_configs(opts.scale.n_opts, opts.seed);
-    (uarchs, configs)
+impl<'a> Sweep<'a> {
+    /// A sweep of sampled axes with no cache and no journal.
+    pub fn new(opts: GenOptions) -> Self {
+        Sweep {
+            opts,
+            uarchs: None,
+            cache: None,
+            journal: None,
+        }
+    }
+
+    /// Runs the sweep over `programs`, returning the dataset and its
+    /// throughput report.
+    pub fn run(&self, programs: &[(String, Module)]) -> (Dataset, SweepReport) {
+        let (uarchs, configs) = self.axes();
+        sweep_grid(
+            programs,
+            uarchs,
+            configs,
+            self.opts.threads,
+            self.cache,
+            self.journal,
+        )
+    }
+
+    /// Resolves both axes: the named or sampled microarchitectures, and
+    /// the sampled settings.
+    fn axes(&self) -> (Vec<MicroArch>, Vec<OptConfig>) {
+        let configs = sample_configs(self.opts.scale.n_opts, self.opts.seed);
+        let uarchs = match self.uarchs {
+            Some(named) => named.to_vec(),
+            None => {
+                let space = if self.opts.extended_space {
+                    MicroArchSpace::extended()
+                } else {
+                    MicroArchSpace::base()
+                };
+                let mut rng = StdRng::seed_from_u64(self.opts.seed);
+                space.sample_n(self.opts.scale.n_uarch, &mut rng)
+            }
+        };
+        (uarchs, configs)
+    }
 }
 
 /// Structural fingerprint of one sweep plan: the program list (names and
-/// full module structure), both sampled axes, and the profiling limits —
+/// full module structure), both resolved axes, and the profiling limits —
 /// everything a journalled row is a function of. Two invocations share a
 /// fingerprint exactly when a checkpoint journal written by one can be
 /// replayed by the other; [`open_sweep_journal`] refuses any other journal
 /// with [`JournalError::PlanMismatch`].
-pub fn plan_fingerprint(programs: &[(String, Module)], opts: &GenOptions) -> u64 {
+fn plan_fingerprint(programs: &[(String, Module)], sweep: &Sweep) -> u64 {
     use std::hash::{Hash as _, Hasher as _};
     let mut h = portopt_ir::StableHasher::new();
     programs.len().hash(&mut h);
@@ -822,10 +806,10 @@ pub fn plan_fingerprint(programs: &[(String, Module)], opts: &GenOptions) -> u64
         name.hash(&mut h);
         module.hash(&mut h);
     }
-    // The sampled axes are covered via their canonical encodings (the
-    // same ones shard merging compares), so the fingerprint tracks the
-    // actual samples, not just the seed that produced them.
-    let (uarchs, configs) = sample_axes(opts);
+    // The axes are covered via their canonical encodings (the same ones
+    // shard merging compares), so the fingerprint tracks the actual
+    // microarchitectures and settings, not the seed that drew them.
+    let (uarchs, configs) = sweep.axes();
     serde_json::to_vec(&uarchs)
         .expect("uarchs serialize")
         .hash(&mut h);
@@ -836,30 +820,32 @@ pub fn plan_fingerprint(programs: &[(String, Module)], opts: &GenOptions) -> u64
     h.finish()
 }
 
-/// Opens (creating if needed) the checkpoint journal at `path` for a sweep
-/// of `programs` under `opts`, fingerprinting the plan so a journal from a
-/// different sweep — other programs, seed, scale, space or limits — is
-/// refused with a typed [`JournalError`] instead of replayed.
+/// Opens (creating if needed) the checkpoint journal at `path` for
+/// `sweep` over `programs`, fingerprinting the plan so a journal from a
+/// different sweep — other programs, seed, scale, space, named
+/// microarchitectures or limits — is refused with a typed
+/// [`JournalError`] instead of replayed. The thread count and the
+/// sweep's own `cache` and `journal` are not part of the plan: they
+/// cannot change the rows.
 pub fn open_sweep_journal(
     path: impl AsRef<std::path::Path>,
     programs: &[(String, Module)],
-    opts: &GenOptions,
+    sweep: &Sweep,
 ) -> Result<CheckpointJournal, JournalError> {
-    CheckpointJournal::open(path, plan_fingerprint(programs, opts))
+    CheckpointJournal::open(path, plan_fingerprint(programs, sweep))
 }
 
-/// Generates a dataset priced on the given (named) microarchitectures
-/// instead of sampling `opts.scale.n_uarch` from the design space. The
-/// setting sample is identical to [`generate`]'s for the same seed, so
-/// figure sweeps that pin their configurations (Figure 1's three named
-/// machines, say) see the same settings without pricing everything twice.
+/// [`Sweep::run`] on the named `uarchs` instead of sampled ones.
 pub fn generate_with_uarchs(
     programs: &[(String, Module)],
     uarchs: &[MicroArch],
     opts: &GenOptions,
 ) -> (Dataset, SweepReport) {
-    let configs = sample_configs(opts.scale.n_opts, opts.seed);
-    sweep_grid(programs, uarchs.to_vec(), configs, opts.threads, None, None)
+    Sweep {
+        uarchs: Some(uarchs),
+        ..Sweep::new(*opts)
+    }
+    .run(programs)
 }
 
 #[cfg(test)]
@@ -892,18 +878,17 @@ mod tests {
 
     fn tiny_dataset() -> Dataset {
         let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
-        generate(
-            &programs,
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 4,
-                    n_opts: 12,
-                },
-                seed: 5,
-                extended_space: false,
-                threads: 2,
+        Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 4,
+                n_opts: 12,
             },
-        )
+            seed: 5,
+            extended_space: false,
+            threads: 2,
+        })
+        .run(&programs)
+        .0
     }
 
     #[test]
@@ -958,18 +943,17 @@ mod tests {
     fn byte_identical_across_thread_counts() {
         let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
         let gen_at = |threads: usize| {
-            generate(
-                &programs,
-                &GenOptions {
-                    scale: SweepScale {
-                        n_uarch: 3,
-                        n_opts: 10,
-                    },
-                    seed: 41,
-                    extended_space: false,
-                    threads,
+            Sweep::new(GenOptions {
+                scale: SweepScale {
+                    n_uarch: 3,
+                    n_opts: 10,
                 },
-            )
+                seed: 41,
+                extended_space: false,
+                threads,
+            })
+            .run(&programs)
+            .0
         };
         let reference = gen_at(1);
         for threads in [2, 8] {
@@ -1004,30 +988,28 @@ mod tests {
         let space = portopt_uarch::MicroArchSpace::base();
         let mut urng = rand::rngs::StdRng::seed_from_u64(5);
         let uarchs = space.sample_n(2, &mut urng);
-        let (cycles, o3, _) =
-            sweep_program(&module, &uarchs, &configs, &portopt_exec::Executor::new(2));
-        for u in 0..uarchs.len() {
-            assert_eq!(cycles[u][1], cycles[u][3], "duplicate sampled setting");
-            assert_eq!(cycles[u][0], cycles[u][4], "duplicate O3 setting");
-            assert!(o3[u] > 0.0);
+        let (ds, report) = sweep_grid(&[("p".to_string(), module)], uarchs, configs, 2, None, None);
+        assert_eq!(report.unique_settings, 3, "duplicates cost nothing extra");
+        for (cycles, o3) in ds.cycles[0].iter().zip(&ds.o3_cycles[0]) {
+            assert_eq!(cycles[1], cycles[3], "duplicate sampled setting");
+            assert_eq!(cycles[0], cycles[4], "duplicate O3 setting");
+            assert!(*o3 > 0.0);
         }
     }
 
     #[test]
     fn report_counts_match() {
         let programs = vec![tiny_program("p1", 1)];
-        let (ds, report) = generate_with_report(
-            &programs,
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 2,
-                    n_opts: 8,
-                },
-                seed: 11,
-                extended_space: false,
-                threads: 1,
+        let (ds, report) = Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 2,
+                n_opts: 8,
             },
-        );
+            seed: 11,
+            extended_space: false,
+            threads: 1,
+        })
+        .run(&programs);
         assert_eq!(report.programs, 1);
         assert_eq!(report.uarchs, 2);
         assert_eq!(report.settings, 8);
@@ -1049,16 +1031,17 @@ mod tests {
             extended_space: false,
             threads: 2,
         };
-        let a = generate(&[tiny_program("p1", 1)], &opts);
-        let b = generate(&[tiny_program("p2", 7), tiny_program("p3", 3)], &opts);
-        let whole = generate(
-            &[
+        let a = Sweep::new(opts).run(&[tiny_program("p1", 1)]).0;
+        let b = Sweep::new(opts)
+            .run(&[tiny_program("p2", 7), tiny_program("p3", 3)])
+            .0;
+        let whole = Sweep::new(opts)
+            .run(&[
                 tiny_program("p1", 1),
                 tiny_program("p2", 7),
                 tiny_program("p3", 3),
-            ],
-            &opts,
-        );
+            ])
+            .0;
         let merged = Dataset::merge(vec![a, b]).expect("axes match");
         assert_eq!(merged.programs, vec!["p1", "p2", "p3"]);
         assert_eq!(merged.cycles, whole.cycles);
@@ -1078,20 +1061,20 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        let base = generate(&[tiny_program("p1", 1)], &opts(1));
-        let other_seed = generate(&[tiny_program("p2", 7)], &opts(2));
+        let base = Sweep::new(opts(1)).run(&[tiny_program("p1", 1)]).0;
+        let other_seed = Sweep::new(opts(2)).run(&[tiny_program("p2", 7)]).0;
         assert!(matches!(
             Dataset::merge(vec![base.clone(), other_seed]),
             Err(MergeError::UarchMismatch { shard: 1 })
         ));
         // Same uarch sample, different settings: swap in a fresh config list.
-        let mut bad_cfgs = generate(&[tiny_program("p2", 7)], &opts(1));
+        let mut bad_cfgs = Sweep::new(opts(1)).run(&[tiny_program("p2", 7)]).0;
         bad_cfgs.configs[0] = OptConfig::o0();
         assert!(matches!(
             Dataset::merge(vec![base.clone(), bad_cfgs]),
             Err(MergeError::ConfigMismatch { shard: 1 })
         ));
-        let dup = generate(&[tiny_program("p1", 1)], &opts(1));
+        let dup = Sweep::new(opts(1)).run(&[tiny_program("p1", 1)]).0;
         match Dataset::merge(vec![base.clone(), dup]) {
             Err(MergeError::DuplicateProgram { shard: 1, name }) => assert_eq!(name, "p1"),
             other => panic!("expected duplicate-program error, got {other:?}"),
@@ -1116,11 +1099,11 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        let base = generate(&[tiny_program("p1", 1)], &opts);
+        let base = Sweep::new(opts).run(&[tiny_program("p1", 1)]).0;
         // A truncated per-uarch cycles table (as a hand-edited or cut-off
         // shard file could produce) must be rejected with the defect named,
         // not panic later inside training.
-        let mut truncated = generate(&[tiny_program("p2", 7)], &opts);
+        let mut truncated = Sweep::new(opts).run(&[tiny_program("p2", 7)]).0;
         truncated.cycles[0].pop();
         match Dataset::merge(vec![base.clone(), truncated]) {
             Err(MergeError::MalformedShard { shard: 1, detail }) => {
@@ -1129,7 +1112,7 @@ mod tests {
             other => panic!("expected MalformedShard, got {other:?}"),
         }
         // A feature vector of the wrong width is equally fatal.
-        let mut bad_feats = generate(&[tiny_program("p3", 3)], &opts);
+        let mut bad_feats = Sweep::new(opts).run(&[tiny_program("p3", 3)]).0;
         bad_feats.features[0][0].values.pop();
         assert!(matches!(
             Dataset::merge(vec![base, bad_feats]),
@@ -1159,16 +1142,24 @@ mod tests {
             extended_space: false,
             threads: 2,
         };
-        let baseline = generate(&programs, &opts);
+        let baseline = Sweep::new(opts).run(&programs).0;
 
         let cold_cache = open_profile_cache(&dir).unwrap();
-        let (cold, _) = generate_with_checkpoint(&programs, &opts, Some(&cold_cache), None);
+        let (cold, _) = Sweep {
+            cache: Some(&cold_cache),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         let cold_stats = cold_cache.stats();
         assert_eq!(cold_stats.hits, 0, "first run must be all misses");
         assert!(cold_stats.misses > 0);
 
         let warm_cache = open_profile_cache(&dir).unwrap();
-        let (warm, _) = generate_with_checkpoint(&programs, &opts, Some(&warm_cache), None);
+        let (warm, _) = Sweep {
+            cache: Some(&warm_cache),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         let warm_stats = warm_cache.stats();
         assert!(warm_stats.hits > 0, "second run must hit: {warm_stats:?}");
         assert_eq!(warm_stats.misses, 0, "{warm_stats:?}");
@@ -1196,7 +1187,11 @@ mod tests {
             threads: 1,
         };
         let cold_cache = open_profile_cache(&dir).unwrap();
-        let (cold, _) = generate_with_checkpoint(&programs, &opts, Some(&cold_cache), None);
+        let (cold, _) = Sweep {
+            cache: Some(&cold_cache),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
 
         // Vandalise every entry: truncated JSON in one, a stale payload
         // version in the rest (as an old-IR-encoding cache would hold).
@@ -1217,7 +1212,11 @@ mod tests {
         // The sweep must reject every entry (named errors on stderr),
         // re-profile, produce identical output, and repair the cache.
         let vandalised = open_profile_cache(&dir).unwrap();
-        let (redone, _) = generate_with_checkpoint(&programs, &opts, Some(&vandalised), None);
+        let (redone, _) = Sweep {
+            cache: Some(&vandalised),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         let stats = vandalised.stats();
         assert_eq!(stats.hits, 0, "{stats:?}");
         assert_eq!(stats.rejected as usize, entries.len(), "{stats:?}");
@@ -1226,7 +1225,11 @@ mod tests {
 
         // Overwritten entries serve the next run normally.
         let repaired = open_profile_cache(&dir).unwrap();
-        let (again, _) = generate_with_checkpoint(&programs, &opts, Some(&repaired), None);
+        let (again, _) = Sweep {
+            cache: Some(&repaired),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         assert_eq!(repaired.stats().rejected, 0);
         assert!(repaired.stats().hits > 0);
         assert_eq!(bytes(&again), bytes(&cold));
@@ -1268,9 +1271,17 @@ mod tests {
             threads: 1,
         };
         let cold = open_profile_cache(&dir).unwrap();
-        generate_with_checkpoint(&[variant(1)], &opts, Some(&cold), None);
+        Sweep {
+            cache: Some(&cold),
+            ..Sweep::new(opts)
+        }
+        .run(&[variant(1)]);
         let other_data = open_profile_cache(&dir).unwrap();
-        generate_with_checkpoint(&[variant(2)], &opts, Some(&other_data), None);
+        Sweep {
+            cache: Some(&other_data),
+            ..Sweep::new(opts)
+        }
+        .run(&[variant(2)]);
         let s = other_data.stats();
         assert_eq!(
             s.hits, 0,
@@ -1279,7 +1290,11 @@ mod tests {
         assert!(s.misses > 0);
         // Same data again: now everything hits.
         let warm = open_profile_cache(&dir).unwrap();
-        generate_with_checkpoint(&[variant(2)], &opts, Some(&warm), None);
+        Sweep {
+            cache: Some(&warm),
+            ..Sweep::new(opts)
+        }
+        .run(&[variant(2)]);
         assert!(warm.stats().hits > 0);
         assert_eq!(warm.stats().misses, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1304,11 +1319,11 @@ mod tests {
             extended_space: false,
             threads: 2,
         };
-        let whole = generate(&programs, &opts);
+        let whole = Sweep::new(opts).run(&programs).0;
         let shards: Vec<Dataset> = (0..3)
             .map(|i| {
                 let spec = ShardSpec::new(i, 3).unwrap();
-                generate(spec.slice(&programs), &opts)
+                Sweep::new(opts).run(spec.slice(&programs)).0
             })
             .collect();
         let merged = Dataset::merge(shards).unwrap();
@@ -1334,13 +1349,17 @@ mod tests {
             extended_space: false,
             threads: 2,
         };
-        let baseline = generate(&programs, &opts);
+        let baseline = Sweep::new(opts).run(&programs).0;
         let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
 
         // First attempt journals every pair and baseline as it completes.
-        let first = open_sweep_journal(&path, &programs, &opts).unwrap();
+        let first = open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap();
         assert_eq!(first.resumed_pairs(), 0);
-        let (cold, report) = generate_with_checkpoint(&programs, &opts, None, Some(&first));
+        let (cold, report) = Sweep {
+            journal: Some(&first),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         assert_eq!(bytes(&cold), bytes(&baseline));
         assert_eq!(
             first.recorded(),
@@ -1351,10 +1370,14 @@ mod tests {
 
         // A "restart" with identical flags replays everything: zero pairs
         // re-priced (recorded() stays 0), output still byte-identical.
-        let resumed = open_sweep_journal(&path, &programs, &opts).unwrap();
+        let resumed = open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap();
         assert_eq!(resumed.resumed_pairs(), report.grid_tasks);
         assert_eq!(resumed.resumed_baselines(), report.programs);
-        let (warm, _) = generate_with_checkpoint(&programs, &opts, None, Some(&resumed));
+        let (warm, _) = Sweep {
+            journal: Some(&resumed),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         assert_eq!(resumed.recorded(), 0, "full replay re-prices nothing");
         assert_eq!(bytes(&warm), bytes(&baseline));
         resumed.retire().unwrap();
@@ -1376,10 +1399,14 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        let baseline = generate(&programs, &opts);
+        let baseline = Sweep::new(opts).run(&programs).0;
         let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
-        let first = open_sweep_journal(&path, &programs, &opts).unwrap();
-        let (_, report) = generate_with_checkpoint(&programs, &opts, None, Some(&first));
+        let first = open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap();
+        let (_, report) = Sweep {
+            journal: Some(&first),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         drop(first);
 
         // Simulate a crash partway through: keep the header + first half
@@ -1391,11 +1418,15 @@ mod tests {
         truncated.push('\n');
         std::fs::write(&path, truncated).unwrap();
 
-        let resumed = open_sweep_journal(&path, &programs, &opts).unwrap();
+        let resumed = open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap();
         let replayed = resumed.resumed_pairs() + resumed.resumed_baselines();
         assert_eq!(replayed, keep - 1);
         assert!(resumed.resumed_pairs() < report.grid_tasks);
-        let (warm, _) = generate_with_checkpoint(&programs, &opts, None, Some(&resumed));
+        let (warm, _) = Sweep {
+            journal: Some(&resumed),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         let total = (report.grid_tasks + report.programs) as u64;
         assert_eq!(
             resumed.recorded(),
@@ -1406,7 +1437,7 @@ mod tests {
 
         // The journal is whole again: a third run replays everything.
         drop(resumed);
-        let whole = open_sweep_journal(&path, &programs, &opts).unwrap();
+        let whole = open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap();
         assert_eq!(whole.resumed_pairs(), report.grid_tasks);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1426,7 +1457,7 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        drop(open_sweep_journal(&path, &programs, &opts).unwrap());
+        drop(open_sweep_journal(&path, &programs, &Sweep::new(opts)).unwrap());
         // Any plan-changing knob — a different seed, scale, or program
         // list — must be refused with the typed mismatch.
         for bad in [
@@ -1440,19 +1471,40 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                open_sweep_journal(&path, &programs, &bad),
+                open_sweep_journal(&path, &programs, &Sweep::new(bad)),
                 Err(JournalError::PlanMismatch { .. })
             ));
         }
         let other_programs = vec![tiny_program("p2", 7)];
         assert!(matches!(
-            open_sweep_journal(&path, &other_programs, &opts),
+            open_sweep_journal(&path, &other_programs, &Sweep::new(opts)),
             Err(JournalError::PlanMismatch { .. })
         ));
         // Thread count and an attached profile cache are *not* part of the
         // plan: they cannot change the rows.
         let threads = GenOptions { threads: 8, ..opts };
-        assert!(open_sweep_journal(&path, &programs, &threads).is_ok());
+        assert!(open_sweep_journal(&path, &programs, &Sweep::new(threads)).is_ok());
+
+        // Named microarchitectures are part of the plan too: a journal of
+        // one named list refuses another and accepts the same list again.
+        let named_path = dir.join("named.journal");
+        let xscale = [MicroArch::xscale()];
+        let mut small_icache = [MicroArch::xscale()];
+        small_icache[0].il1_size = 4096;
+        let named = |uarchs| Sweep {
+            uarchs: Some(uarchs),
+            ..Sweep::new(opts)
+        };
+        drop(open_sweep_journal(&named_path, &programs, &named(&xscale)).unwrap());
+        assert!(matches!(
+            open_sweep_journal(&named_path, &programs, &named(&small_icache)),
+            Err(JournalError::PlanMismatch { .. })
+        ));
+        assert!(matches!(
+            open_sweep_journal(&named_path, &programs, &Sweep::new(opts)),
+            Err(JournalError::PlanMismatch { .. })
+        ));
+        assert!(open_sweep_journal(&named_path, &programs, &named(&xscale)).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1468,9 +1520,13 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        let sampled = generate(&programs, &opts);
-        let named = [portopt_uarch::MicroArch::xscale()];
-        let (ds, _) = generate_with_uarchs(&programs, &named, &opts);
+        let sampled = Sweep::new(opts).run(&programs).0;
+        let named = [MicroArch::xscale()];
+        let (ds, _) = Sweep {
+            uarchs: Some(&named),
+            ..Sweep::new(opts)
+        }
+        .run(&programs);
         assert_eq!(ds.configs, sampled.configs, "same seed, same settings");
         assert_eq!(ds.uarchs, named.to_vec());
         assert_eq!(ds.cycles[0].len(), 1);

@@ -6,10 +6,10 @@
 //! the compiler optimisation passes that maximise its performance — for
 //! programs *and* microarchitectures never seen in training.
 //!
-//! * [`dataset`] — training-data generation (§3.2): the
-//!   programs × settings × microarchitectures sweep, optionally backed by
-//!   an on-disk profile cache (`portopt_exec::cache`) so repeated sweeps
-//!   reuse profiling runs across process invocations.
+//! * [`dataset`] — training-data generation (§3.2): one [`Sweep`] plan
+//!   names the programs × settings × microarchitectures grid, and
+//!   optionally an on-disk profile cache (`portopt_exec::cache`, reused
+//!   across process invocations) and a checkpoint journal.
 //! * [`checkpoint`] — resumable in-shard checkpoints: a versioned
 //!   append-only journal of completed `(program, setting)` results, so a
 //!   sweep killed mid-shard resumes without re-pricing finished work and
@@ -35,9 +35,8 @@ pub mod shard;
 pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC};
 pub use compiler::{PortableCompiler, TrainOptions, GOOD_FRACTION};
 pub use dataset::{
-    generate, generate_with_checkpoint, generate_with_report, generate_with_uarchs,
-    open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program, CachedProfile,
-    Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
+    generate_with_uarchs, open_profile_cache, open_sweep_journal, CachedProfile, Dataset,
+    GenOptions, MergeError, Sweep, SweepReport, SweepScale, PROFILE_CACHE_KIND,
     PROFILE_CACHE_PAYLOAD_VERSION,
 };
 pub use portopt_ml::{Model, ModelKind, ModelOptions};

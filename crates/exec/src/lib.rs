@@ -14,7 +14,7 @@
 //! the task computes or where its result lands; as long as `f` is a pure
 //! function of its index, the output vector is bit-for-bit identical for
 //! any thread count (including 1). Every sweep in `portopt` is built on
-//! this property — `portopt_core::dataset::generate` asserts it in its
+//! this property — `portopt_core::Sweep` asserts it in its
 //! `generation_is_deterministic` test.
 //!
 //! ```

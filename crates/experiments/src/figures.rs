@@ -473,7 +473,7 @@ impl std::fmt::Display for ItersToMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portopt_core::{generate, GenOptions, SweepScale};
+    use portopt_core::{GenOptions, Sweep, SweepScale};
     use portopt_mibench::{suite, Workload};
 
     fn small() -> (Dataset, Vec<portopt_ir::Module>) {
@@ -482,18 +482,17 @@ mod tests {
             .iter()
             .map(|p| (p.name.to_string(), p.module.clone()))
             .collect();
-        let ds = generate(
-            &pairs,
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 3,
-                    n_opts: 20,
-                },
-                seed: 42,
-                extended_space: false,
-                threads: 2,
+        let ds = Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 3,
+                n_opts: 20,
             },
-        );
+            seed: 42,
+            extended_space: false,
+            threads: 2,
+        })
+        .run(&pairs)
+        .0;
         let modules = pairs.into_iter().map(|(_, m)| m).collect();
         (ds, modules)
     }

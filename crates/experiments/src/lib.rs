@@ -19,7 +19,6 @@ pub mod figures;
 pub mod loo;
 pub mod stats;
 
-use portopt_core::{Dataset, GenOptions, SweepReport};
 use portopt_ir::Module;
 use portopt_mibench::{suite, Workload};
 
@@ -33,30 +32,4 @@ pub fn suite_modules(seed: u64) -> (Vec<(String, Module)>, Vec<Module>) {
         .collect();
     let modules = pairs.iter().map(|(_, m)| m.clone()).collect();
     (pairs, modules)
-}
-
-/// Generates (or loads from `cache_path`, saving on miss) a dataset for the
-/// full suite under the given options. On a fresh generation,
-/// `on_generate` receives the sweep's throughput report.
-pub fn dataset_cached(
-    opts: &GenOptions,
-    cache_path: Option<&std::path::Path>,
-    on_generate: impl FnOnce(&SweepReport),
-) -> Dataset {
-    if let Some(path) = cache_path {
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(ds) = serde_json::from_slice::<Dataset>(&bytes) {
-                return ds;
-            }
-        }
-    }
-    let (pairs, _) = suite_modules(2009);
-    let (ds, report) = portopt_core::generate_with_report(&pairs, opts);
-    on_generate(&report);
-    if let Some(path) = cache_path {
-        if let Ok(bytes) = serde_json::to_vec(&ds) {
-            let _ = std::fs::write(path, bytes);
-        }
-    }
-    ds
 }

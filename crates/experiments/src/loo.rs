@@ -232,7 +232,7 @@ pub fn run_loo(ds: &Dataset, modules: &[Module], threads: usize) -> LooResult {
                         Some(hit) => hit.clone(),
                         None => {
                             let shared = Arc::new(portopt_core::dataset::price_image(
-                                &img, module, &ds.uarchs,
+                                &img, module, &ds.uarchs, None,
                             ));
                             by_img.insert(fp, shared.clone());
                             shared
@@ -261,7 +261,7 @@ pub fn run_loo(ds: &Dataset, modules: &[Module], threads: usize) -> LooResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portopt_core::{generate, GenOptions, SweepScale};
+    use portopt_core::{GenOptions, Sweep, SweepScale};
     use portopt_mibench::{suite, Workload};
 
     #[test]
@@ -273,18 +273,17 @@ mod tests {
             .iter()
             .map(|p| (p.name.to_string(), p.module.clone()))
             .collect();
-        let ds = generate(
-            &pairs,
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 4,
-                    n_opts: 24,
-                },
-                seed: 3,
-                extended_space: false,
-                threads: 2,
+        let ds = Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 4,
+                n_opts: 24,
             },
-        );
+            seed: 3,
+            extended_space: false,
+            threads: 2,
+        })
+        .run(&pairs)
+        .0;
         let modules: Vec<Module> = pairs.iter().map(|(_, m)| m.clone()).collect();
         let r = run_loo(&ds, &modules, 2);
         let mm = r.mean_model();

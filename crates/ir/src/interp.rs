@@ -7,6 +7,7 @@
 
 use crate::function::Module;
 use crate::inst::Inst;
+use crate::paged::ZeroPaged;
 use crate::types::{FuncId, Operand};
 use std::fmt;
 
@@ -68,23 +69,32 @@ impl Default for ExecLimits {
     }
 }
 
-/// Flat program memory: globals at [`Module::DATA_BASE`], stack growing down
-/// from [`Module::STACK_BASE`].
+/// Program memory: globals at [`Module::DATA_BASE`], stack growing down
+/// from [`Module::STACK_BASE`], one word per 4-byte address, paged in on
+/// first write.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    words: Vec<i64>,
+    words: ZeroPaged<i64>,
 }
 
 impl Memory {
     /// Allocates memory and copies in every global's initialiser.
     pub fn for_module(m: &Module) -> Self {
-        let mut words = vec![0i64; (Module::STACK_BASE / 4) as usize];
+        let mut words = ZeroPaged::new((Module::STACK_BASE / 4) as usize);
         let addrs = m.global_addrs();
         for (g, a) in m.globals.iter().zip(&addrs) {
             let base = (a.base / 4) as usize;
-            words[base..base + g.init.len()].copy_from_slice(&g.init);
+            for (i, &w) in g.init.iter().enumerate() {
+                *words.get_mut(base + i) = w;
+            }
         }
         Memory { words }
+    }
+
+    /// Whether byte address `addr` lies inside memory.
+    #[inline]
+    pub fn contains(&self, addr: i64) -> bool {
+        addr >= 0 && ((addr >> 2) as usize) < self.words.len()
     }
 
     /// Reads the word at byte address `addr`.
@@ -94,21 +104,19 @@ impl Memory {
     /// speculative load motion (`-fsched-spec`). Stores remain checked.
     #[inline]
     pub fn load(&self, addr: i64) -> Result<i64, ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.words.len() {
+        if !self.contains(addr) {
             return Ok(0);
         }
-        Ok(self.words[idx as usize])
+        Ok(self.words.get((addr >> 2) as usize))
     }
 
     /// Writes the word at byte address `addr`.
     #[inline]
     pub fn store(&mut self, addr: i64, val: i64) -> Result<(), ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.words.len() {
+        if !self.contains(addr) {
             return Err(ExecError::BadAddress { addr });
         }
-        self.words[idx as usize] = val;
+        *self.words.get_mut((addr >> 2) as usize) = val;
         Ok(())
     }
 
@@ -117,7 +125,7 @@ impl Memory {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for a in m.global_addrs() {
             let base = (a.base / 4) as usize;
-            for w in &self.words[base..base + (a.bytes / 4) as usize] {
+            for w in (base..base + (a.bytes / 4) as usize).map(|i| self.words.get(i)) {
                 for b in w.to_le_bytes() {
                     h ^= b as u64;
                     h = h.wrapping_mul(0x1_0000_01b3);
@@ -129,7 +137,7 @@ impl Memory {
 
     /// Direct word access for test setup (index = byte address / 4).
     pub fn word_mut(&mut self, byte_addr: u32) -> &mut i64 {
-        &mut self.words[(byte_addr / 4) as usize]
+        self.words.get_mut((byte_addr / 4) as usize)
     }
 }
 

@@ -49,6 +49,7 @@ mod inst;
 pub mod interp;
 mod liveness;
 mod loops;
+mod paged;
 mod types;
 pub mod verify;
 
@@ -60,5 +61,6 @@ pub use function::{Block, Function, Global, GlobalAddr, Module};
 pub use inst::Inst;
 pub use liveness::{BitSet, Liveness};
 pub use loops::{Loop, LoopForest};
+pub use paged::ZeroPaged;
 pub use types::{BinOp, BlockId, FuncId, Operand, Pred, VReg};
 pub use verify::{calls, module_stats, verify_function, verify_module, ModuleStats, VerifyError};

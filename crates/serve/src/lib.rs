@@ -67,7 +67,7 @@ pub use snapshot::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portopt_core::{generate, Dataset, GenOptions, SweepScale, TrainOptions};
+    use portopt_core::{Dataset, GenOptions, Sweep, SweepScale, TrainOptions};
     use portopt_ir::{FuncBuilder, Module, ModuleBuilder};
     use portopt_passes::OptSpace;
     use portopt_uarch::MicroArch;
@@ -116,22 +116,21 @@ mod tests {
     }
 
     fn tiny_dataset() -> Dataset {
-        generate(
-            &[
-                program("mem1", true),
-                program("alu1", false),
-                program("mem2", true),
-            ],
-            &GenOptions {
-                scale: SweepScale {
-                    n_uarch: 4,
-                    n_opts: 16,
-                },
-                seed: 7,
-                extended_space: false,
-                threads: 2,
+        Sweep::new(GenOptions {
+            scale: SweepScale {
+                n_uarch: 4,
+                n_opts: 16,
             },
-        )
+            seed: 7,
+            extended_space: false,
+            threads: 2,
+        })
+        .run(&[
+            program("mem1", true),
+            program("alu1", false),
+            program("mem2", true),
+        ])
+        .0
     }
 
     fn tiny_snapshot() -> Snapshot {

@@ -25,7 +25,7 @@
 //! [`SnapshotError`], and the old model keeps serving.
 //!
 //! ```
-//! use portopt_core::{generate, GenOptions, SweepScale, TrainOptions};
+//! use portopt_core::{GenOptions, Sweep, SweepScale, TrainOptions};
 //! use portopt_ir::{FuncBuilder, ModuleBuilder};
 //! use portopt_serve::{PredictionService, Snapshot};
 //!
@@ -45,7 +45,7 @@
 //!     threads: 1,
 //!     ..GenOptions::default()
 //! };
-//! let ds = generate(&[("toy".to_string(), mb.finish())], &opts);
+//! let ds = Sweep::new(opts).run(&[("toy".to_string(), mb.finish())]).0;
 //! let snap = Snapshot::train(&ds, &TrainOptions::default());
 //! let retrained = Snapshot::train(&ds, &TrainOptions::default());
 //!

@@ -47,7 +47,7 @@
 //! Submit / drain, the loop every transport is built on:
 //!
 //! ```
-//! use portopt_core::{generate, GenOptions, SweepScale, TrainOptions};
+//! use portopt_core::{GenOptions, Sweep, SweepScale, TrainOptions};
 //! use portopt_ir::{FuncBuilder, ModuleBuilder};
 //! use portopt_serve::{PredictionService, ServiceStats, Snapshot};
 //!
@@ -67,7 +67,7 @@
 //!     threads: 1,
 //!     ..GenOptions::default()
 //! };
-//! let ds = generate(&[("toy".to_string(), mb.finish())], &opts);
+//! let ds = Sweep::new(opts).run(&[("toy".to_string(), mb.finish())]).0;
 //! let snap = Snapshot::train(&ds, &TrainOptions::default());
 //!
 //! let service = PredictionService::new(snap, 1);

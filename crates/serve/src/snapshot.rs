@@ -16,7 +16,7 @@
 //! Train once, serialize, reload, predict — the whole deployment cycle:
 //!
 //! ```
-//! use portopt_core::{generate, GenOptions, SweepScale, TrainOptions};
+//! use portopt_core::{GenOptions, Sweep, SweepScale, TrainOptions};
 //! use portopt_ir::{FuncBuilder, ModuleBuilder};
 //! use portopt_serve::Snapshot;
 //!
@@ -36,7 +36,7 @@
 //!     threads: 1,
 //!     ..GenOptions::default()
 //! };
-//! let ds = generate(&[("toy".to_string(), mb.finish())], &opts);
+//! let ds = Sweep::new(opts).run(&[("toy".to_string(), mb.finish())]).0;
 //!
 //! let snap = Snapshot::train(&ds, &TrainOptions::default());
 //! let bytes = snap.to_bytes().unwrap();          // what `save` writes

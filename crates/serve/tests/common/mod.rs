@@ -5,7 +5,7 @@
 // Each integration-test binary uses a different subset of these helpers.
 #![allow(dead_code)]
 
-use portopt_core::{generate, Dataset, GenOptions, SweepScale, TrainOptions};
+use portopt_core::{Dataset, GenOptions, Sweep, SweepScale, TrainOptions};
 use portopt_ir::{FuncBuilder, Module, ModuleBuilder};
 use portopt_serve::{PredictionService, ServeRequest, ServiceStats, Snapshot};
 use std::net::TcpListener;
@@ -46,18 +46,17 @@ pub fn fixture() -> (Dataset, Snapshot) {
     static FIXTURE: OnceLock<(Dataset, Snapshot)> = OnceLock::new();
     FIXTURE
         .get_or_init(|| {
-            let ds = generate(
-                &[program("mem1", true), program("alu1", false)],
-                &GenOptions {
-                    scale: SweepScale {
-                        n_uarch: 2,
-                        n_opts: 8,
-                    },
-                    seed: 7,
-                    extended_space: false,
-                    threads: 2,
+            let ds = Sweep::new(GenOptions {
+                scale: SweepScale {
+                    n_uarch: 2,
+                    n_opts: 8,
                 },
-            );
+                seed: 7,
+                extended_space: false,
+                threads: 2,
+            })
+            .run(&[program("mem1", true), program("alu1", false)])
+            .0;
             let snap = Snapshot::train(&ds, &TrainOptions::default());
             (ds, snap)
         })

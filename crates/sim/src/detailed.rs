@@ -7,7 +7,7 @@
 //! tests assert that the fast model tracks this reference on miss rates
 //! and on relative cycle counts across configurations.
 
-use portopt_ir::interp::{ExecError, ExecLimits};
+use portopt_ir::interp::{ExecError, ExecLimits, Memory};
 use portopt_ir::{FuncId, Inst, Module, Operand};
 use portopt_passes::{CodeImage, TermKind};
 use portopt_uarch::{latencies, Latencies, MicroArch, PerfCounters};
@@ -148,7 +148,7 @@ struct Machine<'a> {
     img: &'a CodeImage,
     cfg: &'a MicroArch,
     lat: Latencies,
-    mem: Vec<i64>,
+    mem: Memory,
     icache: Cache,
     dcache: Cache,
     btb: Btb,
@@ -175,20 +175,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Returns `Ok(None)` for an out-of-range *load* address (non-trapping,
-    /// reads 0); `Err` for out-of-range stores.
-    fn mem_access(&mut self, addr: i64, is_store: bool) -> Result<Option<usize>, ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
-            if is_store {
-                return Err(ExecError::BadAddress { addr });
-            }
-            return Ok(None);
-        }
-        if !self.dcache.access(addr as u64) {
+    /// Charges a data access to `addr` to the D-cache. An out-of-range
+    /// address touches no modelled line: a load of it reads 0
+    /// (non-trapping), a store of it fails in [`Memory::store`].
+    fn mem_access(&mut self, addr: i64) {
+        if self.mem.contains(addr) && !self.dcache.access(addr as u64) {
             self.cycles += self.lat.mem_penalty as u64;
         }
-        Ok(Some(idx as usize))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -312,27 +305,27 @@ impl<'a> Machine<'a> {
                     }
                     Inst::Load { dst, addr, offset } => {
                         let a = regs[addr.index()].wrapping_add(*offset);
-                        let idx = self.mem_access(a, false)?;
-                        regs[dst.index()] = idx.map_or(0, |i| self.mem[i]);
+                        self.mem_access(a);
+                        regs[dst.index()] = self.mem.load(a)?;
                         ready[dst.index()] = self.cycles + self.lat.dl1_load_use as u64;
                     }
                     Inst::Store { src, addr, offset } => {
                         let a = regs[addr.index()].wrapping_add(*offset);
                         let v = val(src, &regs);
-                        let idx = self.mem_access(a, true)?.expect("store checked");
-                        self.mem[idx] = v;
+                        self.mem.store(a, v)?;
+                        self.mem_access(a);
                     }
                     Inst::FrameLoad { dst, slot: s } => {
                         let a = fp + (*s as i64) * 4;
-                        let idx = self.mem_access(a, false)?;
-                        regs[dst.index()] = idx.map_or(0, |i| self.mem[i]);
+                        self.mem_access(a);
+                        regs[dst.index()] = self.mem.load(a)?;
                         ready[dst.index()] = self.cycles + self.lat.dl1_load_use as u64;
                     }
                     Inst::FrameStore { src, slot: s } => {
                         let a = fp + (*s as i64) * 4;
                         let v = val(src, &regs);
-                        let idx = self.mem_access(a, true)?.expect("store checked");
-                        self.mem[idx] = v;
+                        self.mem.store(a, v)?;
+                        self.mem_access(a);
                     }
                     Inst::Call {
                         func,
@@ -435,16 +428,11 @@ pub fn simulate(
     args: &[i64],
     limits: ExecLimits,
 ) -> Result<DetailedResult, ExecError> {
-    let mut mem = vec![0i64; (Module::STACK_BASE / 4) as usize];
-    for (g, a) in module.globals.iter().zip(module.global_addrs()) {
-        let base = (a.base / 4) as usize;
-        mem[base..base + g.init.len()].copy_from_slice(&g.init);
-    }
     let mut m = Machine {
         img,
         cfg,
         lat: latencies(cfg),
-        mem,
+        mem: Memory::for_module(module),
         icache: Cache::new(cfg.il1_size, cfg.il1_assoc, cfg.il1_block),
         dcache: Cache::new(cfg.dl1_size, cfg.dl1_assoc, cfg.dl1_block),
         btb: Btb::new(cfg.btb_entries, cfg.btb_assoc),

@@ -2,14 +2,17 @@
 //!
 //! Same algorithm as `portopt_uarch::StackDistance` (Bennett–Kruskal with a
 //! Fenwick tree) but with a flat `last-access` array instead of a hash map,
-//! sized once for the address space. The profiler runs four of these per
-//! stream (one per candidate block size), so constant factors matter.
+//! sized once for the address space and paged in as blocks are first
+//! touched. The profiler runs four of these per stream (one per candidate
+//! block size), so constant factors matter.
+
+use portopt_ir::ZeroPaged;
 
 /// Flat-array stack-distance tracker.
 #[derive(Debug, Clone)]
 pub struct FlatStackDistance {
     /// last[block] = time of previous access (0 = never).
-    last: Vec<u32>,
+    last: ZeroPaged<u32>,
     /// Fenwick tree: 1 at slots that are some block's latest access.
     tree: Vec<u32>,
     time: u32,
@@ -19,7 +22,7 @@ impl FlatStackDistance {
     /// Creates a tracker for block indices `< capacity`.
     pub fn new(capacity: usize) -> Self {
         FlatStackDistance {
-            last: vec![0; capacity],
+            last: ZeroPaged::new(capacity),
             tree: vec![0; 4096],
             time: 0,
         }
@@ -55,8 +58,7 @@ impl FlatStackDistance {
         if self.time as usize + 1 >= self.tree.len() {
             self.grow();
         }
-        let prev = self.last[block];
-        self.last[block] = self.time;
+        let prev = std::mem::replace(self.last.get_mut(block), self.time);
         let dist = if prev == 0 {
             None
         } else {
@@ -72,7 +74,7 @@ impl FlatStackDistance {
         let new_len = self.tree.len() * 2;
         self.tree = vec![0; new_len];
         // Rebuild from the last-access array.
-        let times: Vec<u32> = self.last.iter().copied().filter(|&t| t != 0).collect();
+        let times: Vec<u32> = self.last.allocated().filter(|&t| t != 0).collect();
         for t in times {
             self.add(t, 1);
         }

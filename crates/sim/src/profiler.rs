@@ -9,7 +9,7 @@
 
 use crate::flatsd::FlatStackDistance;
 use crate::profile::{ExecProfile, BLOCK_SIZES};
-use portopt_ir::interp::{ExecError, ExecLimits};
+use portopt_ir::interp::{ExecError, ExecLimits, Memory};
 use portopt_ir::{FuncId, Inst, Module, Operand};
 use portopt_passes::{CodeImage, TermKind};
 use portopt_uarch::{BranchStats, ReuseHistogram};
@@ -33,27 +33,13 @@ pub fn profile(
 
     let mut prof = st.prof;
     prof.ret = ret.unwrap_or(0);
-    prof.mem_hash = hash_globals(&st.mem, module);
+    prof.mem_hash = st.mem.hash_globals(module);
     Ok(prof)
-}
-
-fn hash_globals(mem: &[i64], m: &Module) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for a in m.global_addrs() {
-        let base = (a.base / 4) as usize;
-        for w in &mem[base..base + (a.bytes / 4) as usize] {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-    }
-    h
 }
 
 struct ProfState<'a> {
     img: &'a CodeImage,
-    mem: Vec<i64>,
+    mem: Memory,
     fuel: u64,
     max_depth: usize,
     prof: ExecProfile,
@@ -71,11 +57,6 @@ struct ProfState<'a> {
 
 impl<'a> ProfState<'a> {
     fn new(img: &'a CodeImage, module: &Module, limits: ExecLimits) -> Self {
-        let mut mem = vec![0i64; (Module::STACK_BASE / 4) as usize];
-        for (g, a) in module.globals.iter().zip(module.global_addrs()) {
-            let base = (a.base / 4) as usize;
-            mem[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
         let code_end = (portopt_passes::CODE_BASE + img.code_bytes) as usize;
         let mut block_offset = Vec::with_capacity(img.funcs.len());
         let mut total_blocks = 0usize;
@@ -97,7 +78,7 @@ impl<'a> ProfState<'a> {
         prof.branch_pc_reuse = ReuseHistogram::new();
         ProfState {
             img,
-            mem,
+            mem: Memory::for_module(module),
             fuel: limits.fuel,
             max_depth: limits.max_depth,
             prof,
@@ -144,8 +125,7 @@ impl<'a> ProfState<'a> {
 
     #[inline]
     fn load(&mut self, addr: i64) -> Result<i64, ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
+        if !self.mem.contains(addr) {
             // Non-trapping wild load (speculative path): reads 0. The
             // access still occupies the memory pipe but touches no
             // modelled line.
@@ -153,17 +133,13 @@ impl<'a> ProfState<'a> {
             return Ok(0);
         }
         self.data_access(addr);
-        Ok(self.mem[idx as usize])
+        self.mem.load(addr)
     }
 
     #[inline]
     fn store(&mut self, addr: i64, val: i64) -> Result<(), ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
-            return Err(ExecError::BadAddress { addr });
-        }
+        self.mem.store(addr, val)?;
         self.data_access(addr);
-        self.mem[idx as usize] = val;
         Ok(())
     }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use portopt::prelude::*;
-use portopt_core::{generate, GenOptions, PortableCompiler, SweepScale, TrainOptions};
+use portopt_core::{GenOptions, PortableCompiler, Sweep, SweepScale, TrainOptions};
 use portopt_mibench::{suite, Workload};
 
 fn main() {
@@ -24,18 +24,17 @@ fn main() {
 
     // One-off training sweep (small scale so the example runs in ~a minute).
     println!("generating training data ({} programs)…", training.len());
-    let ds = generate(
-        &training,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 8,
-                n_opts: 60,
-            },
-            seed: 42,
-            extended_space: false,
-            threads: 0, // auto: all available cores
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 8,
+            n_opts: 60,
         },
-    );
+        seed: 42,
+        extended_space: false,
+        threads: 0, // auto: all available cores
+    })
+    .run(&training)
+    .0;
     let pc = PortableCompiler::train(&ds, None, None, &TrainOptions::default());
     println!("trained on {} program/uarch pairs", pc.model().len());
 

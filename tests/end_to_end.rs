@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the whole stack from IR to model.
 
 use portopt::prelude::*;
-use portopt_core::{generate, GenOptions, PortableCompiler, SweepScale, TrainOptions};
+use portopt_core::{GenOptions, PortableCompiler, Sweep, SweepScale, TrainOptions};
 use portopt_ir::interp::run_module;
 use portopt_mibench::{suite, Workload};
 use rand::rngs::StdRng;
@@ -90,18 +90,17 @@ fn mini_reproduction_beats_o3() {
             (p.name.to_string(), p.module)
         })
         .collect();
-    let ds = generate(
-        &pairs,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 5,
-                n_opts: 40,
-            },
-            seed: 7,
-            extended_space: false,
-            threads: 0,
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 5,
+            n_opts: 40,
         },
-    );
+        seed: 7,
+        extended_space: false,
+        threads: 0,
+    })
+    .run(&pairs)
+    .0;
     let modules: Vec<portopt_ir::Module> = pairs.iter().map(|(_, m)| m.clone()).collect();
     let loo = portopt_experiments::loo::run_loo(&ds, &modules, 0);
 
@@ -128,18 +127,17 @@ fn deployment_flow_unseen_program_and_uarch() {
             (p.name.to_string(), p.module)
         })
         .collect();
-    let ds = generate(
-        &pairs,
-        &GenOptions {
-            scale: SweepScale {
-                n_uarch: 4,
-                n_opts: 30,
-            },
-            seed: 13,
-            extended_space: false,
-            threads: 0,
+    let ds = Sweep::new(GenOptions {
+        scale: SweepScale {
+            n_uarch: 4,
+            n_opts: 30,
         },
-    );
+        seed: 13,
+        extended_space: false,
+        threads: 0,
+    })
+    .run(&pairs)
+    .0;
     let pc = PortableCompiler::train(&ds, None, None, &TrainOptions::default());
 
     let unseen = portopt_mibench::by_name("say", Workload::default()).unwrap();
@@ -178,8 +176,8 @@ fn pipeline_is_deterministic() {
         extended_space: false,
         threads: 0,
     };
-    let a = generate(&pairs, &opts);
-    let b = generate(&pairs, &opts);
+    let a = Sweep::new(opts).run(&pairs).0;
+    let b = Sweep::new(opts).run(&pairs).0;
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.o3_cycles, b.o3_cycles);
     let fa: Vec<Vec<f64>> = a

@@ -36,6 +36,13 @@ fn bench_simulation(c: &mut Criterion) {
     g.bench_function("profile_crc", |b| {
         b.iter(|| profile(&img, &p.module, &[], Default::default()).unwrap())
     });
+    // The suite's most expensive profile: the worst case for the
+    // stack-distance trackers.
+    let tm = by_name("tiffmedian", Workload::default()).unwrap();
+    let tm_img = compile(&tm.module, &OptConfig::o3());
+    g.bench_function("profile_tiffmedian_o3", |b| {
+        b.iter(|| profile(&tm_img, &tm.module, &[], Default::default()).unwrap())
+    });
     g.bench_function("fast_timing_model", |b| {
         b.iter(|| evaluate(&img, &prof, &x))
     });

@@ -143,6 +143,30 @@ fn main() {
         );
     }
 
+    // --- Profile rate: instructions per second over the profiling runs
+    // that completed (a run served from a cache opens no span; a failed
+    // run carries no `dyn_insts`). ---
+    let (mut runs, mut insts, mut us) = (0u64, 0u64, 0u64);
+    for c in closed
+        .iter()
+        .filter(|c| c.target == "core.dataset" && c.name == "profile")
+    {
+        if let Some(n) = field(&c.close_fields, "dyn_insts").and_then(Json::as_u64) {
+            runs += 1;
+            insts += n;
+            us += c.dur_us;
+        }
+    }
+    if runs == 0 {
+        println!("\nprofile rate: 0 runs (no profiling run completed in this trace)");
+    } else {
+        println!(
+            "\nprofile rate: {runs} runs, {:.1} Minst, {:.2} Minst/s",
+            insts as f64 / 1e6,
+            insts as f64 / us.max(1) as f64,
+        );
+    }
+
     // --- Pricing spans: the per-(program, setting) unit of sweep work. ---
     let pricings: Vec<&Closed> = closed.iter().filter(|c| c.name == "price_pair").collect();
     println!("\npricing spans: {}", pricings.len());

@@ -96,3 +96,38 @@ fn help_wins_over_errors_and_does_no_work() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn trace_profile_rate_counts_only_completed_profiling_runs() {
+    let dir = scratch_dir("trace-rate");
+    let trace = dir.join("t.trace");
+    let header = r#"{"magic":"portopt-trace","format_version":1,"bin":"sweep","start_unix_ms":0}"#;
+    let ok_run = [
+        r#"{"t":"so","us":0,"id":1,"parent":0,"tgt":"core.dataset","name":"profile","f":{}}"#,
+        r#"{"t":"sc","us":2000,"id":1,"dur_us":2000,"f":{"ok":true,"dyn_insts":3000000,"data_accesses":5,"ifetch_lines":7}}"#,
+    ];
+    // A failed run closes with `ok=false` only and must not count.
+    let failed_run = [
+        r#"{"t":"so","us":2000,"id":2,"parent":0,"tgt":"core.dataset","name":"profile","f":{}}"#,
+        r#"{"t":"sc","us":9000,"id":2,"dur_us":7000,"f":{"ok":false}}"#,
+    ];
+    for (records, want) in [
+        (&failed_run[..], "profile rate: 0 runs"),
+        (
+            &[ok_run, failed_run].concat()[..],
+            "profile rate: 1 runs, 3.0 Minst, 1500.00 Minst/s",
+        ),
+    ] {
+        let mut text = format!("{header}\n");
+        for r in records {
+            text += r;
+            text += "\n";
+        }
+        std::fs::write(&trace, text).unwrap();
+        let out = run_in(&dir, "trace", &["t.trace"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert!(stdout.contains(want), "want {want:?} in:\n{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -446,9 +446,20 @@ fn profile_for(
             ),
         }
     }
+    // The close fields attribute the profile stage's cost to the work it
+    // did: instructions interpreted, and accesses fed to the data and
+    // instruction-line reuse trackers.
     let sp = portopt_trace::span("core.dataset", "profile", &[]);
     let prof = profile(img, module, &[], PROFILE_LIMITS).ok();
-    sp.close_with(&[("ok", prof.is_some().into())]);
+    match &prof {
+        Some(pr) => sp.close_with(&[
+            ("ok", true.into()),
+            ("dyn_insts", pr.dyn_insts.into()),
+            ("data_accesses", pr.dcache_word_accesses.into()),
+            ("ifetch_lines", pr.icache_reuse[0].total.into()),
+        ]),
+        None => sp.close_with(&[("ok", false.into())]),
+    }
     if let Some((d, fp)) = keyed {
         if let Err(e) = d.put(
             fp,

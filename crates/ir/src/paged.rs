@@ -63,15 +63,6 @@ impl<T: Copy + Default> ZeroPaged<T> {
             .get_or_insert_with(|| vec![T::default(); PAGE].into_boxed_slice());
         &mut page[i & (PAGE - 1)]
     }
-
-    /// Every element of the allocated pages, in index order; the elements
-    /// it skips are all zero.
-    pub fn allocated(&self) -> impl Iterator<Item = T> + '_ {
-        self.pages
-            .iter()
-            .flatten()
-            .flat_map(|page| page.iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -89,8 +80,6 @@ mod tests {
         assert_eq!(a.get(PAGE + 7), -1);
         assert_eq!(a.get(PAGE + 6), 0);
         assert_eq!(a.pages.iter().filter(|p| p.is_some()).count(), 1);
-        assert_eq!(a.allocated().count(), PAGE);
-        assert_eq!(a.allocated().filter(|&v| v != 0).collect::<Vec<_>>(), [-1]);
     }
 
     #[test]
